@@ -21,7 +21,7 @@ from .connections import (
     curvature_generic,
 )
 from .expressions import ExpressionError, format_element, parse_expression
-from .oneloop import LoopConfig, bessel_m, ir_coefficient, ir_target
+from .oneloop import LoopConfig, bessel_m, ir_coefficient, ir_target, ir_unit
 from .structure import SymplecticStructure
 from .verify import run_suites
 
@@ -237,7 +237,7 @@ def _report_oneloop(args) -> int:
         p_values.append(p)
     res = ir_coefficient(cfg, p_values)
     target = ir_target(cfg.D, cfg.n_higgs)
-    rel = abs(res.value - target) / abs(target)
+    rel = abs(res.value - target) / max(abs(target), ir_unit(cfg.D))
     tol = args.tol if args.tol is not None else 0.02
     print(CONVENTIONS)
     print(

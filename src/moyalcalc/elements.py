@@ -19,18 +19,36 @@ The product of two terms factorises into four commuting pieces:
   (iv)  the monomial-monomial coupling
         exp(i/2 Theta^{mu nu} d_mu^(1) d_nu^(2)),
 
-and the result carries the wave vector k1 + k2.  Pieces (ii)-(iv) are finite
-sums because the monomial degrees bound the expansion order.
+and the result carries the wave vector k1 + k2.  The term-pair kernel
+``_star_terms`` evaluates them as follows:
 
-Coefficients below ``PRUNE_REL`` times the largest modulus in an element are
-dropped after every operation; term iteration is in lexicographic
-(alpha, k) order so all reductions are deterministic.
+  * the shifts are closed forms, exp(v . d) x^alpha = prod_mu sum_j
+    C(alpha_mu, j) v_mu^(alpha_mu - j) x_mu^j, with their monomials listed
+    in order-by-order expansion order (the coupling sums in that order);
+  * the coupling (iv) is a finite sum bounded by the monomial degrees; when
+    neither side is shifted it depends only on (alpha1, alpha2, Theta) and
+    comes from a bounded cache;
+  * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
+    snapped components is exact while it stays below 8192 (at most 53
+    significant bits) and is not snapped above, so k1 + k2 needs no
+    re-quantising; a sum with a larger operand component is re-quantised;
+  * the per-term parts (has a wave, has a monomial, shift vectors) are
+    computed once per operand term, not once per pair.
+
+All of these reproduce the floating-point results of the plain order-by-order
+expansion when theta k is a short dyadic (the closed-form shift is within a
+few ulp of it otherwise).  Coefficients below ``PRUNE_REL`` times the largest
+modulus in an element are dropped after every operation; term iteration is in
+lexicographic (alpha, k) order so all reductions are deterministic.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
+from operator import add
 
 import numpy as np
 
@@ -64,11 +82,15 @@ PRUNE_REL = 1e-12
 # wave vectors are snapped to this dyadic grid so that equal waves reached
 # along different arithmetic paths (ulp differences) merge on the same key
 _K_GRID = float(2**40)
+# components below this bound are snapped; a sum of two snapped components is
+# exact while below it (at most 53 significant bits) and is not snapped above
+# it, so such sums need no re-quantising
+_K_LIMIT = 8192.0
 
 
 def _quantize(x: float) -> float:
     x = float(x)
-    if abs(x) < 8192.0:
+    if abs(x) < _K_LIMIT:
         x = round(x * _K_GRID) / _K_GRID
     return x + 0.0  # normalise -0.0
 
@@ -120,7 +142,7 @@ class MoyalElement:
 
     def _finish(self, structure, merged):
         if merged:
-            top = max(abs(c) for c in merged.values())
+            top = max(map(abs, merged.values()))
             cutoff = PRUNE_REL * top
             merged = {key: c for key, c in merged.items() if abs(c) > cutoff}
         object.__setattr__(self, "structure", structure)
@@ -139,9 +161,6 @@ class MoyalElement:
     # -- iteration and basic queries ------------------------------------
     def items(self):
         return self.terms.items()
-
-    def term_list(self):
-        return [Term(alpha, k, c) for (alpha, k), c in self.terms.items()]
 
     def norm(self) -> float:
         """Max-coefficient norm."""
@@ -189,7 +208,10 @@ class MoyalElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0j) - c
+        return MoyalElement._trusted(self.structure, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -326,22 +348,50 @@ def _poly_partial(poly: dict, ax: int) -> dict:
     return out
 
 
-def _poly_shift(poly: dict, v) -> dict:
-    """Apply exp(v . d) to a polynomial; terminates at the total degree."""
-    out = dict(poly)
-    current = poly
-    order = 1
-    while current:
+@lru_cache(maxsize=1024)
+def _shift_keys(alpha: tuple, moving: tuple) -> tuple:
+    """Monomials of exp(v . d) x^alpha in order-by-order expansion order.
+
+    ``moving`` lists the axes with v_mu != 0 and alpha_mu > 0. Order n lowers
+    one axis of each order n-1 monomial, axes outermost. ``_star_couple`` sums
+    in its operands' key order and its 1/n weights are not dyadic, so this
+    order keeps its roundings those of the order-by-order expansion.
+    """
+    keys = [alpha]
+    layer = [alpha]
+    while layer:
         nxt = {}
-        for ax, vx in enumerate(v):
-            if vx == 0.0:
-                continue
-            for alpha, c in _poly_partial(current, ax).items():
-                nxt[alpha] = nxt.get(alpha, 0j) + vx * c
-        current = {a: c / order for a, c in nxt.items() if c != 0}
-        for alpha, c in current.items():
-            out[alpha] = out.get(alpha, 0j) + c
-        order += 1
+        for ax in moving:
+            for beta in layer:
+                if beta[ax]:
+                    nxt.setdefault(beta[:ax] + (beta[ax] - 1,) + beta[ax + 1 :], None)
+        layer = list(nxt)
+        keys += layer
+    return tuple(keys)
+
+
+def _shift_monomial(alpha: tuple, v) -> dict:
+    """exp(v . d) x^alpha in closed form.
+
+    The shift factorises over axes, prod_mu sum_j C(alpha_mu, j)
+    v_mu^(alpha_mu - j) x_mu^j, so each coefficient is one product of a
+    binomial and a power per axis; exact when the v_mu are short dyadics.
+    """
+    columns = []
+    for ax, (a, vx) in enumerate(zip(alpha, v)):
+        if a and vx != 0.0:
+            col = [0.0] * (a + 1)
+            power = 1.0
+            for j in range(a, -1, -1):
+                col[j] = comb(a, j) * power
+                power *= vx
+            columns.append((ax, col))
+    out = {}
+    for key in _shift_keys(alpha, tuple(ax for ax, _col in columns)):
+        c = 1.0
+        for ax, col in columns:
+            c *= col[key[ax]]
+        out[key] = c
     return out
 
 
@@ -349,7 +399,7 @@ def _poly_mul(p: dict, q: dict) -> dict:
     out = {}
     for a1, c1 in p.items():
         for a2, c2 in q.items():
-            key = tuple(x + y for x, y in zip(a1, a2))
+            key = tuple(map(add, a1, a2))
             out[key] = out.get(key, 0j) + c1 * c2
     return out
 
@@ -378,61 +428,91 @@ def _star_couple(p: dict, q: dict, theta_nz) -> dict:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _monomial_couple(alpha1: tuple, alpha2: tuple, theta_nz: tuple) -> dict:
+    """``_star_couple`` of two unit monomials; shared, so callers must not mutate it."""
+    return _star_couple({alpha1: 1 + 0j}, {alpha2: 1 + 0j}, theta_nz)
+
+
 # ---------------------------------------------------------------------------
 # the star product
 # ---------------------------------------------------------------------------
 
-def _emit_star_term(alpha1, k1, c1, alpha2, k2, c2, s, out):
-    """Accumulate the star product of two canonical terms into ``out``."""
+def _kernel_terms(terms: dict, s: SymplecticStructure, left: bool) -> list:
+    """Per-term data of the pair loop, computed once per operand term.
+
+    Each entry is (alpha, k, c, has_monomial, wave): ``wave`` is None for a
+    polynomial term, else (on_grid, shift, kt). ``shift`` is the argument
+    shift this term's wave applies to the other factor's monomial, ``kt``
+    holds (j, k_i Theta_ij) for the BCH phase of a left term, and ``on_grid``
+    says every |k_mu| is below ``_K_LIMIT``, so wave sums need no re-quantising.
+    """
     nz = s._theta_nz
-    k1_any = any(x != 0.0 for x in k1)
-    k2_any = any(x != 0.0 for x in k2)
-    coeff = c1 * c2
-    if k1_any and k2_any:
-        w = 0.0
-        for i, j, t in nz:
-            w += k1[i] * t * k2[j]
-        if w != 0.0:
-            coeff *= cmath.exp(-0.5j * w)
-    p1 = {alpha1: 1 + 0j}
-    if k2_any and any(alpha1):
-        v = [0.0] * s.D
-        for i, j, t in nz:
-            v[i] -= 0.5 * t * k2[j]
-        p1 = _poly_shift(p1, v)
-    p2 = {alpha2: 1 + 0j}
-    if k1_any and any(alpha2):
-        # exponent -(1/2) k1_mu Theta_{mu nu} d_nu
-        w2 = [0.0] * s.D
-        for i, j, t in nz:
-            w2[j] -= 0.5 * k1[i] * t
-        p2 = _poly_shift(p2, w2)
-    combined = _star_couple(p1, p2, nz)
-    if k1_any or k2_any:
-        kout = _clean_k(x + y for x, y in zip(k1, k2))
-    else:
-        kout = k1
-    for alpha, c in combined.items():
-        key = (alpha, kout)
-        out[key] = out.get(key, 0j) + coeff * c
+    out = []
+    for (alpha, k), c in terms.items():
+        wave = None
+        if any(x != 0.0 for x in k):
+            shift = [0.0] * s.D
+            if left:
+                # exponent -(1/2) k_mu Theta_{mu nu} d_nu on the right factor
+                for i, j, t in nz:
+                    shift[j] -= 0.5 * k[i] * t
+                kt = tuple((j, k[i] * t) for i, j, t in nz)
+            else:
+                for i, j, t in nz:
+                    shift[i] -= 0.5 * t * k[j]
+                kt = None
+            wave = (max(map(abs, k)) < _K_LIMIT, shift, kt)
+        out.append((alpha, k, c, any(alpha), wave))
+    return out
+
+
+def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
+    """Accumulate the star products of all term pairs into one (alpha, k) -> c dict."""
+    nz = s._theta_nz
+    right = _kernel_terms(b_terms, s, left=False)
+    out = {}
+    for alpha1, k1, c1, a1_any, wave1 in _kernel_terms(a_terms, s, left=True):
+        for alpha2, k2, c2, a2_any, wave2 in right:
+            coeff = c1 * c2
+            if wave1 and wave2:
+                phase = 0.0
+                for j, x in wave1[2]:
+                    phase += x * k2[j]
+                if phase != 0.0:
+                    coeff *= cmath.exp(-0.5j * phase)
+                if wave1[0] and wave2[0]:
+                    kout = tuple(map(add, k1, k2))
+                else:
+                    kout = _clean_k(map(add, k1, k2))
+            else:
+                kout = k2 if wave2 else k1
+            shift1 = wave2 and a1_any
+            shift2 = wave1 and a2_any
+            if shift1 or shift2:
+                combined = _star_couple(
+                    _shift_monomial(alpha1, wave2[1]) if shift1 else {alpha1: 1 + 0j},
+                    _shift_monomial(alpha2, wave1[1]) if shift2 else {alpha2: 1 + 0j},
+                    nz,
+                )
+            else:
+                combined = _monomial_couple(alpha1, alpha2, nz)
+            for alpha, c in combined.items():
+                key = (alpha, kout)
+                out[key] = out.get(key, 0j) + coeff * c
+    return out
 
 
 def star_term(t1: Term, t2: Term, s: SymplecticStructure) -> MoyalElement:
     """Exact star product of two terms over the structure ``s``."""
-    out = {}
-    _emit_star_term(t1.alpha, t1.k, t1.coeff, t2.alpha, t2.k, t2.coeff, s, out)
+    out = _star_terms({(t1.alpha, t1.k): t1.coeff}, {(t2.alpha, t2.k): t2.coeff}, s)
     return MoyalElement._trusted(s, out)
 
 
 def star(a: MoyalElement, b: MoyalElement) -> MoyalElement:
     """Bilinear extension of ``star_term`` with merge and prune."""
     a.structure.check_compatible(b.structure)
-    s = a.structure
-    out = {}
-    for (alpha1, k1), c1 in a.terms.items():
-        for (alpha2, k2), c2 in b.terms.items():
-            _emit_star_term(alpha1, k1, c1, alpha2, k2, c2, s, out)
-    return MoyalElement._trusted(s, out)
+    return MoyalElement._trusted(a.structure, _star_terms(a.terms, b.terms, a.structure))
 
 
 def pointwise(a: MoyalElement, b: MoyalElement) -> MoyalElement:

@@ -114,9 +114,6 @@ class GradedElement:
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.norm() <= tol
 
-    def degree_parts(self):
-        return self.even, self.odd
-
 
 def graded_unit(s: SymplecticStructure) -> GradedElement:
     return GradedElement(unit(s), MoyalElement(s, {}))
@@ -413,17 +410,18 @@ def graded_curvature(A: GradedConnectionForm) -> dict:
     zero = MoyalElement(s, {})
     gens = graded_generators(s)
 
-    def covT(m):
-        return A.A0[f"d{m}"] - xi(s, m)
-
-    def covU(m):
-        return A.A1[f"d{m}"] - xi(s, m)
+    axes = range(1, s.D + 1)
+    cov_t = {m: A.A0[f"d{m}"] - xi(s, m) for m in axes}
+    cov_u = {m: A.A1[f"d{m}"] - xi(s, m) for m in axes}
+    cov_m = {}
+    for m in axes:
+        for n in range(m, s.D + 1):
+            # xi_m xi_n as the symmetrised star product
+            xx = 0.5 * (star(xi(s, m), xi(s, n)) + star(xi(s, n), xi(s, m)))
+            cov_m[(m, n)] = A.G0[f"X{m}{n}"] - xx
 
     def covM(m, n):
-        m, n = min(m, n), max(m, n)
-        # xi_m xi_n as the symmetrised star product
-        xx = 0.5 * (star(xi(s, m), xi(s, n)) + star(xi(s, n), xi(s, m)))
-        return A.G0[f"X{m}{n}"] - xx
+        return cov_m[(min(m, n), max(m, n))]
 
     Phi = A.phi - unit(s)
     out = {}
@@ -432,38 +430,38 @@ def graded_curvature(A: GradedConnectionForm) -> dict:
             kinds = (X.kind, Y.kind)
             if kinds == ("T", "T"):
                 val = GradedElement(
-                    -commutator(covT(X.mu), covT(Y.mu))
+                    -commutator(cov_t[X.mu], cov_t[Y.mu])
                     - 1j * Ti[X.mu - 1, Y.mu - 1] * unit(s),
                     zero,
                 )
             elif kinds == ("U", "U"):
                 val = GradedElement(
-                    -anticommutator(covU(X.mu), covU(Y.mu)) - 2.0 * covM(X.mu, Y.mu),
+                    -anticommutator(cov_u[X.mu], cov_u[Y.mu]) - 2.0 * covM(X.mu, Y.mu),
                     zero,
                 )
             elif kinds == ("J", "J"):
                 val = GradedElement(-2.0 * star(Phi, Phi) + 2.0 * unit(s), zero)
             elif kinds == ("T", "J"):
-                val = GradedElement(zero, -commutator(covT(X.mu), Phi))
+                val = GradedElement(zero, -commutator(cov_t[X.mu], Phi))
             elif kinds == ("U", "J"):
                 val = GradedElement(
-                    -anticommutator(covU(X.mu), Phi) - 2.0 * covT(X.mu), zero
+                    -anticommutator(cov_u[X.mu], Phi) - 2.0 * cov_t[X.mu], zero
                 )
             elif kinds == ("M", "J"):
                 val = GradedElement(zero, -commutator(covM(X.mu, X.nu), Phi))
             elif kinds == ("T", "U"):
                 val = GradedElement(
                     zero,
-                    -commutator(covT(X.mu), covU(Y.mu))
+                    -commutator(cov_t[X.mu], cov_u[Y.mu])
                     + 1j * Ti[X.mu - 1, Y.mu - 1] * Phi,
                 )
             elif kinds == ("T", "M"):
                 # stored order is (T, M); use graded antisymmetry of F(M, T)
                 m, n, r = Y.mu, Y.nu, X.mu
                 fmt = GradedElement(
-                    -commutator(covM(m, n), covT(r))
-                    + 1j * Ti[n - 1, r - 1] * covT(m)
-                    + 1j * Ti[m - 1, r - 1] * covT(n),
+                    -commutator(covM(m, n), cov_t[r])
+                    + 1j * Ti[n - 1, r - 1] * cov_t[m]
+                    + 1j * Ti[m - 1, r - 1] * cov_t[n],
                     zero,
                 )
                 val = -1.0 * fmt
@@ -471,9 +469,9 @@ def graded_curvature(A: GradedConnectionForm) -> dict:
                 m, n, r = Y.mu, Y.nu, X.mu
                 fmu = GradedElement(
                     zero,
-                    -commutator(covM(m, n), covU(r))
-                    + 1j * Ti[n - 1, r - 1] * covU(m)
-                    + 1j * Ti[m - 1, r - 1] * covU(n),
+                    -commutator(covM(m, n), cov_u[r])
+                    + 1j * Ti[n - 1, r - 1] * cov_u[m]
+                    + 1j * Ti[m - 1, r - 1] * cov_u[n],
                 )
                 val = -1.0 * fmu
             elif kinds == ("M", "M"):

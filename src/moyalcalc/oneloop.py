@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -64,6 +65,7 @@ __all__ = [
     "omega_nonplanar",
     "ir_coefficient",
     "ir_target",
+    "ir_unit",
     "delta_residual_profile",
 ]
 
@@ -99,7 +101,7 @@ class LoopConfig:
                 raise ValueError(f"external momentum must have length {self.D}")
             object.__setattr__(self, "p", p)
 
-    @property
+    @cached_property
     def structure(self) -> SymplecticStructure:
         return SymplecticStructure(self.D, self.theta)
 
@@ -503,6 +505,15 @@ def omega_nonplanar(i: int, cfg: LoopConfig) -> LoopResult:
 def ir_target(D: int, n_higgs: int) -> float:
     """(D + N - 2) Gamma(D/2) / pi^{D/2}, the quoted IR coefficient."""
     return (D + n_higgs - 2) * gamma_fn(D / 2.0) / math.pi ** (D / 2.0)
+
+
+def ir_unit(D: int) -> float:
+    """Gamma(D/2) / pi^{D/2}: one unit of D + N - 2 in ``ir_target``.
+
+    No nonzero target is smaller, so it is the scale for judging a fit
+    against the zero target of D=2, N=0.
+    """
+    return gamma_fn(D / 2.0) / math.pi ** (D / 2.0)
 
 
 def ir_coefficient(cfg: LoopConfig, p_values) -> LoopResult:

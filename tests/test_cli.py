@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -115,6 +116,17 @@ def test_oneloop_csv_and_window_checks(tmp_path, capsys):
         ["oneloop", "--dim", "2", "--p-max", "0.5"], capsys
     )
     assert code == 2
+
+
+def test_oneloop_zero_target_passes(capsys):
+    # D=2 with no Higgs fields has target 0; the fit is judged on one unit
+    # of D + N - 2 instead of dividing by the target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["oneloop", "--dim", "2", "--n-higgs", "0"], capsys)
+    assert code == 0
+    assert "target 0.000000" in out
+    assert "-> pass at 2.0%" in out
 
 
 def test_bessel_check(capsys):

@@ -24,6 +24,8 @@ from moyalcalc import (
     unit,
     xi,
 )
+from moyalcalc.cli import main
+from moyalcalc.elements import _shift_monomial
 
 S2 = SymplecticStructure(2, 1.0)
 
@@ -212,3 +214,77 @@ def test_evaluate_pointwise():
     x = np.array([0.3, -1.2])
     expect = 0.5 * 0.3**2 * (-1.2) + 1j * np.exp(1j * 0.3)
     assert abs(a.evaluate(x) - expect) < 1e-14
+
+
+def _expand_shift(alpha, v):
+    """(x + v)^alpha multiplied out one factor (x_mu + v_mu) at a time."""
+    poly = {(0,) * len(alpha): 1.0}
+    for ax, a in enumerate(alpha):
+        for _ in range(a):
+            nxt = {}
+            for key, c in poly.items():
+                up = key[:ax] + (key[ax] + 1,) + key[ax + 1 :]
+                nxt[up] = nxt.get(up, 0.0) + c
+                nxt[key] = nxt.get(key, 0.0) + c * v[ax]
+            poly = nxt
+    return {key: c for key, c in poly.items() if c != 0.0}
+
+
+@pytest.mark.parametrize("theta, ulps", [(1.0, 0), (0.3, 8)])
+def test_closed_form_shift_matches_expansion(theta, ulps):
+    # v = -Theta k / 2 as in the kernel; exact when theta k is dyadic
+    rng = np.random.default_rng(5)
+    for D in (2, 4):
+        s = SymplecticStructure(D, theta)
+        for _ in range(60):
+            alpha = tuple(int(a) for a in rng.integers(0, 5, size=D))
+            k = rng.integers(-8, 9, size=D) / 4.0
+            v = [float(x) for x in -0.5 * (s.Theta @ k)]
+            got = _shift_monomial(alpha, v)
+            want = _expand_shift(alpha, v)
+            assert got.keys() == want.keys()
+            for key, c in want.items():
+                assert abs(got[key] - c) <= ulps * np.finfo(float).eps * abs(c)
+
+
+@pytest.mark.parametrize(
+    "k1, k2",
+    [
+        ((9000.5, 0.25), (-1000.75, 0.5)),
+        ((8192.3, -0.1), (-0.7, 0.2)),
+        ((-12345.678, 3.3), (12345.0, -3.3)),
+        ((0.1, 1e4), (0.2, -1e4 + 0.3)),
+    ],
+)
+def test_wave_sum_beyond_grid_limit_merges(k1, k2):
+    # components >= 8192 are off the quantisation grid, so their sums are
+    # re-quantised like any wave vector entering plane_wave
+    w1, w2 = plane_wave(S2, k1), plane_wave(S2, k2)
+    ((_, g1),) = w1.terms
+    ((_, g2),) = w2.terms
+    expect = plane_wave(S2, tuple(x + y for x, y in zip(g1, g2)))
+    assert list(star(w1, w2).terms) == list(expect.terms)
+    assert list(star(w2, w1).terms) == list(expect.terms)
+
+
+# residual lines of ``verify --scope core --dim 2 --seed 1`` as printed before
+# the star kernel's fast paths; the kernel must not move any of them
+CORE_D2_SEED1 = """\
+pass  core         star associativity               residual 7.877e-16  tol 1e-10
+pass  core         Leibniz d(a*b)                   residual 2.888e-16  tol 1e-12
+pass  core         involution (a*b)+ = b+*a+        residual 0.000e+00  tol 1e-12
+pass  core         [x_mu, a] = i Theta grad a       residual 2.289e-16  tol 1e-12
+pass  core         x_mu * a split                   residual 0.000e+00  tol 1e-12
+pass  core         x_mu (a*b) split                 residual 2.913e-16  tol 1e-12
+pass  core         (x x) * a quadratic split        residual 0.000e+00  tol 1e-12
+pass  core         cubic commutator split           residual 4.723e-17  tol 1e-12
+pass  core         [x_mu, x_nu] = i Theta_{mu nu}   residual 0.000e+00  tol 1e-14
+pass  core         d_mu = [i xi_mu, .]              residual 0.000e+00  tol 1e-12
+pass  core         center witness (monomials move)  residual 1.000e+00  tol 1e+12
+"""
+
+
+def test_verify_core_residual_lines_pinned(capsys):
+    assert main(["verify", "--scope", "core", "--dim", "2", "--seed", "1"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert lines == CORE_D2_SEED1.splitlines()
