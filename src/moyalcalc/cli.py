@@ -145,8 +145,9 @@ def _report_star(args) -> int:
         raise InputError(str(exc)) from exc
     from .elements import star
 
+    product = star(a, b)
     print(CONVENTIONS)
-    print(format_element(star(a, b)))
+    print(format_element(product))
     return 0
 
 

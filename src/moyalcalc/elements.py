@@ -25,21 +25,30 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
   * the shifts are closed forms, exp(v . d) x^alpha = prod_mu sum_j
     C(alpha_mu, j) v_mu^(alpha_mu - j) x_mu^j, with their monomials listed
     in order-by-order expansion order (the coupling sums in that order);
-  * the coupling (iv) is a finite sum bounded by the monomial degrees; when
-    neither side is shifted it depends only on (alpha1, alpha2, Theta) and
-    comes from a bounded cache;
+  * the coupling (iv) is a finite sum bounded by the monomial degrees.  It
+    is a pure function of (alpha1, v, alpha2, w, Theta), so it comes from one
+    of two bounded process-wide caches: ``_monomial_couple`` (1024 entries)
+    when neither side is shifted and ``_shifted_couple`` (256 entries)
+    otherwise.  Cached dicts are shared by every caller and are read-only;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
     significant bits) and is not snapped above, so k1 + k2 needs no
     re-quantising; a sum with a larger operand component is re-quantised;
-  * the per-term parts (has a wave, has a monomial, shift vectors) are
+  * the per-term parts (has a wave, has a monomial, shift tuples) are
     computed once per operand term, not once per pair.
+
+``star`` returns the empty element when either operand has no terms, after
+the structure check.  ``commutator`` and ``anticommutator`` prune the two
+products exactly as ``star`` does and combine them key by key exactly as
+``-`` and ``+`` do, without building the two intermediate elements.
 
 All of these reproduce the floating-point results of the plain order-by-order
 expansion when theta k is a short dyadic (the closed-form shift is within a
 few ulp of it otherwise).  Coefficients below ``PRUNE_REL`` times the largest
 modulus in an element are dropped after every operation; term iteration is in
-lexicographic (alpha, k) order so all reductions are deterministic.
+lexicographic (alpha, k) order so all reductions are deterministic.  Wave
+vector components must be finite: an infinite or NaN component, given or
+reached by a wave sum that overflows, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -47,8 +56,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from operator import add
+from math import comb, isfinite
+from operator import add, sub
 
 import numpy as np
 
@@ -92,6 +101,8 @@ def _quantize(x: float) -> float:
     x = float(x)
     if abs(x) < _K_LIMIT:
         x = round(x * _K_GRID) / _K_GRID
+    elif not isfinite(x):  # NaN fails the grid test too
+        raise ValueError(f"wave vector components must be finite, got {x!r}")
     return x + 0.0  # normalise -0.0
 
 
@@ -115,8 +126,14 @@ class Term:
             raise ValueError("monomial exponents must be nonnegative")
         if len(self.alpha) != len(self.k):
             raise ValueError("alpha and k must have the same length")
-        if not all(np.isfinite(x) for x in self.k):
-            raise ValueError("wave vector components must be finite")
+
+
+def _pruned(merged: dict) -> dict:
+    """``merged`` without coefficients at or below ``PRUNE_REL`` times its largest."""
+    if not merged:
+        return merged
+    cutoff = PRUNE_REL * max(map(abs, merged.values()))
+    return {key: c for key, c in merged.items() if abs(c) > cutoff}
 
 
 class MoyalElement:
@@ -141,12 +158,8 @@ class MoyalElement:
         self._finish(structure, merged)
 
     def _finish(self, structure, merged):
-        if merged:
-            top = max(map(abs, merged.values()))
-            cutoff = PRUNE_REL * top
-            merged = {key: c for key, c in merged.items() if abs(c) > cutoff}
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "terms", dict(sorted(merged.items())))
+        object.__setattr__(self, "terms", dict(sorted(_pruned(merged).items())))
 
     @classmethod
     def _trusted(cls, structure, merged: dict) -> "MoyalElement":
@@ -434,6 +447,23 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, theta_nz: tuple) -> dict:
     return _star_couple({alpha1: 1 + 0j}, {alpha2: 1 + 0j}, theta_nz)
 
 
+# kept apart from _monomial_couple: shifted couplings are larger (a few KB at
+# degree 8), so one shared cache either evicts the small unshifted entries at
+# 256 slots or holds megabytes of them at 1024
+@lru_cache(maxsize=256)
+def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, theta_nz: tuple) -> dict:
+    """``_star_couple`` of x^alpha1 shifted by v and x^alpha2 shifted by w.
+
+    ``v`` or ``w`` is None for a side that is not shifted. The result is
+    shared, so callers must not mutate it.
+    """
+    return _star_couple(
+        _shift_monomial(alpha1, v) if v is not None else {alpha1: 1 + 0j},
+        _shift_monomial(alpha2, w) if w is not None else {alpha2: 1 + 0j},
+        theta_nz,
+    )
+
+
 # ---------------------------------------------------------------------------
 # the star product
 # ---------------------------------------------------------------------------
@@ -462,7 +492,7 @@ def _kernel_terms(terms: dict, s: SymplecticStructure, left: bool) -> list:
                 for i, j, t in nz:
                     shift[i] -= 0.5 * t * k[j]
                 kt = None
-            wave = (max(map(abs, k)) < _K_LIMIT, shift, kt)
+            wave = (max(map(abs, k)) < _K_LIMIT, tuple(shift), kt)
         out.append((alpha, k, c, any(alpha), wave))
     return out
 
@@ -487,16 +517,12 @@ def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
                     kout = _clean_k(map(add, k1, k2))
             else:
                 kout = k2 if wave2 else k1
-            shift1 = wave2 and a1_any
-            shift2 = wave1 and a2_any
-            if shift1 or shift2:
-                combined = _star_couple(
-                    _shift_monomial(alpha1, wave2[1]) if shift1 else {alpha1: 1 + 0j},
-                    _shift_monomial(alpha2, wave1[1]) if shift2 else {alpha2: 1 + 0j},
-                    nz,
-                )
-            else:
+            v = wave2[1] if wave2 and a1_any else None
+            w = wave1[1] if wave1 and a2_any else None
+            if v is None and w is None:
                 combined = _monomial_couple(alpha1, alpha2, nz)
+            else:
+                combined = _shifted_couple(alpha1, v, alpha2, w, nz)
             for alpha, c in combined.items():
                 key = (alpha, kout)
                 out[key] = out.get(key, 0j) + coeff * c
@@ -512,6 +538,8 @@ def star_term(t1: Term, t2: Term, s: SymplecticStructure) -> MoyalElement:
 def star(a: MoyalElement, b: MoyalElement) -> MoyalElement:
     """Bilinear extension of ``star_term`` with merge and prune."""
     a.structure.check_compatible(b.structure)
+    if not a.terms or not b.terms:
+        return MoyalElement._trusted(a.structure, {})
     return MoyalElement._trusted(a.structure, _star_terms(a.terms, b.terms, a.structure))
 
 
@@ -529,12 +557,30 @@ def pointwise(a: MoyalElement, b: MoyalElement) -> MoyalElement:
     return MoyalElement._trusted(a.structure, terms)
 
 
+def _bracket(a: MoyalElement, b: MoyalElement, combine) -> MoyalElement:
+    """``star(a, b) combine star(b, a)`` without building the two products.
+
+    Each product is pruned as ``star`` prunes it, then the two are combined
+    key by key as ``__add__`` and ``__sub__`` combine them, so every
+    coefficient gets the same IEEE operations; only the intermediate sorts
+    and elements are skipped.
+    """
+    a.structure.check_compatible(b.structure)
+    s = a.structure
+    terms = _pruned(_star_terms(a.terms, b.terms, s))
+    for key, c in _pruned(_star_terms(b.terms, a.terms, s)).items():
+        terms[key] = combine(terms.get(key, 0j), c)
+    return MoyalElement._trusted(s, terms)
+
+
 def commutator(a: MoyalElement, b: MoyalElement) -> MoyalElement:
-    return star(a, b) - star(b, a)
+    """[a, b] = a * b - b * a."""
+    return _bracket(a, b, sub)
 
 
 def anticommutator(a: MoyalElement, b: MoyalElement) -> MoyalElement:
-    return star(a, b) + star(b, a)
+    """{a, b} = a * b + b * a."""
+    return _bracket(a, b, add)
 
 
 def involution(a: MoyalElement) -> MoyalElement:
@@ -593,11 +639,11 @@ def load_element(text: str, s: SymplecticStructure) -> MoyalElement:
         try:
             re_, im_ = (float(x) for x in parts[0].split())
             alpha = tuple(int(x) for x in parts[1].split())
-            k = tuple(float(x) for x in parts[2].split())
+            k = _clean_k(float(x) for x in parts[2].split())
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from exc
         if len(alpha) != s.D or len(k) != s.D:
             raise ValueError(f"line {ln}: index lists must have length D={s.D}")
-        key = (alpha, _clean_k(k))
+        key = (alpha, k)
         terms[key] = terms.get(key, 0j) + complex(re_, im_)
     return MoyalElement(s, terms)

@@ -27,6 +27,17 @@ def test_star_parse_error_exits_2(capsys):
     assert "column" in err
 
 
+@pytest.mark.parametrize(
+    "left, right", [("W[1e400,0]", "W[0,1]"), ("W[1e308,0]", "W[1e308,1]")]
+)
+def test_star_non_finite_wave_exits_2(left, right, capsys):
+    # an infinite input component, and a wave sum that overflows in the kernel
+    code, out, err = run_cli(["star", "--dim", "2", left, right], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+    assert out == ""
+
+
 def test_verify_core_passes(capsys):
     code, out, _ = run_cli(
         ["verify", "--scope", "core", "--dim", "2", "--seed", "3"], capsys

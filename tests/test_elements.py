@@ -25,7 +25,8 @@ from moyalcalc import (
     xi,
 )
 from moyalcalc.cli import main
-from moyalcalc.elements import _shift_monomial
+from moyalcalc.elements import _shift_monomial, _shifted_couple
+from moyalcalc.verify import random_element
 
 S2 = SymplecticStructure(2, 1.0)
 
@@ -267,24 +268,120 @@ def test_wave_sum_beyond_grid_limit_merges(k1, k2):
     assert list(star(w2, w1).terms) == list(expect.terms)
 
 
-# residual lines of ``verify --scope core --dim 2 --seed 1`` as printed before
-# the star kernel's fast paths; the kernel must not move any of them
-CORE_D2_SEED1 = """\
-pass  core         star associativity               residual 7.877e-16  tol 1e-10
-pass  core         Leibniz d(a*b)                   residual 2.888e-16  tol 1e-12
-pass  core         involution (a*b)+ = b+*a+        residual 0.000e+00  tol 1e-12
-pass  core         [x_mu, a] = i Theta grad a       residual 2.289e-16  tol 1e-12
-pass  core         x_mu * a split                   residual 0.000e+00  tol 1e-12
-pass  core         x_mu (a*b) split                 residual 2.913e-16  tol 1e-12
-pass  core         (x x) * a quadratic split        residual 0.000e+00  tol 1e-12
-pass  core         cubic commutator split           residual 4.723e-17  tol 1e-12
-pass  core         [x_mu, x_nu] = i Theta_{mu nu}   residual 0.000e+00  tol 1e-14
-pass  core         d_mu = [i xi_mu, .]              residual 0.000e+00  tol 1e-12
-pass  core         center witness (monomials move)  residual 1.000e+00  tol 1e+12
+def test_non_finite_wave_vectors_raise():
+    with pytest.raises(ValueError, match="finite"):
+        plane_wave(S2, (np.inf, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        MoyalElement(S2, {((0, 0), (np.nan, 0.0)): 1.0})
+    with pytest.raises(ValueError, match="line 1: .*finite"):
+        load_element("1.0 0.0 | 0 0 | inf 0.0", S2)
+    # each factor is finite; their wave sum overflows in the kernel
+    w1, w2 = plane_wave(S2, (1e308, 0.0)), plane_wave(S2, (1e308, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        star(w1, w2)
+
+
+def _bits(a):
+    # repr tells -0.0 from 0.0, so a flipped signed zero fails the comparison
+    return [(key, repr(c)) for key, c in a.items()]
+
+
+def _bracket_cases():
+    rng = np.random.default_rng(11)
+    for s in (S2, SymplecticStructure(2, 0.3), SymplecticStructure(4, 1.0)):
+        for _ in range(15):
+            yield random_element(rng, s), random_element(rng, s)
+    # each product has terms below PRUNE_REL of its top that the cancelling
+    # unit terms would otherwise leave above the cutoff of the difference
+    big = 1e6 * unit(S2)
+    yield big + 1e-5 * coordinate(S2, 1), big + 1e-5 * coordinate(S2, 2)
+    yield big + plane_wave(S2, (0.5, 0.0), 1e-5), big + monomial(S2, (0, 2), 1e-5)
+    a = coordinate(S2, 1) + plane_wave(S2, (0.25, -0.5), 2j)
+    yield MoyalElement(S2), a
+    yield a, MoyalElement(S2)
+    yield MoyalElement(S2), MoyalElement(S2)
+
+
+def test_brackets_match_products_bit_for_bit():
+    for a, b in _bracket_cases():
+        assert _bits(commutator(a, b)) == _bits(star(a, b) - star(b, a))
+        assert _bits(anticommutator(a, b)) == _bits(star(a, b) + star(b, a))
+
+
+def test_shifted_coupling_cache_keeps_bits():
+    rng = np.random.default_rng(3)
+    s = SymplecticStructure(2, 0.3)
+    pairs = [(random_element(rng, s), random_element(rng, s)) for _ in range(8)]
+    _shifted_couple.cache_clear()
+    cold = [_bits(star(a, b)) for a, b in pairs]
+    filled = _shifted_couple.cache_info()
+    assert 0 < filled.currsize < filled.maxsize
+    warm = [_bits(star(a, b)) for a, b in pairs]
+    assert _shifted_couple.cache_info().hits >= filled.hits + filled.misses
+    assert warm == cold
+
+
+def test_star_with_empty_operand():
+    zero = MoyalElement(S2)
+    a = coordinate(S2, 1) + plane_wave(S2, (0.5, 0.25))
+    for lhs, rhs in ((zero, a), (a, zero), (zero, zero)):
+        out = star(lhs, rhs)
+        assert out.terms == {} and out.structure is S2
+    other = SymplecticStructure(2, 2.0)
+    for lhs, rhs in ((zero, coordinate(other, 1)), (a, MoyalElement(other))):
+        with pytest.raises(StructureMismatchError):
+            star(lhs, rhs)
+        with pytest.raises(StructureMismatchError):
+            commutator(lhs, rhs)
+
+
+# residual lines of ``verify --scope all --dim 2 --seed 1`` as printed before
+# the star kernel's fast paths and coupling caches; the kernel must not move
+# any of them
+ALL_D2_SEED1 = """\
+pass  core         star associativity                   residual 7.877e-16  tol 1e-10
+pass  core         Leibniz d(a*b)                       residual 2.888e-16  tol 1e-12
+pass  core         involution (a*b)+ = b+*a+            residual 0.000e+00  tol 1e-12
+pass  core         [x_mu, a] = i Theta grad a           residual 2.289e-16  tol 1e-12
+pass  core         x_mu * a split                       residual 0.000e+00  tol 1e-12
+pass  core         x_mu (a*b) split                     residual 2.913e-16  tol 1e-12
+pass  core         (x x) * a quadratic split            residual 0.000e+00  tol 1e-12
+pass  core         cubic commutator split               residual 4.723e-17  tol 1e-12
+pass  core         [x_mu, x_nu] = i Theta_{mu nu}       residual 0.000e+00  tol 1e-14
+pass  core         d_mu = [i xi_mu, .]                  residual 0.000e+00  tol 1e-12
+pass  core         center witness (monomials move)      residual 1.000e+00  tol 1e+12
+pass  derivations  [Ad_P, Ad_Q] = Ad_[P,Q]              residual 7.324e-15  tol 1e-11
+pass  derivations  eta defect central and nonzero       residual 0.000e+00  tol 1e-13
+pass  derivations  sp(2n,R) bracket table               residual 0.000e+00  tol 1e-12
+pass  derivations  mixed bracket table                  residual 0.000e+00  tol 1e-12
+pass  derivations  bracket decomposition closes         residual 0.000e+00  tol 1e-12
+pass  derivations  real generators commute with dagger  residual 0.000e+00  tol 1e-12
+pass  derivations  Moyal = i Poisson on degree <= 2     residual 4.559e-16  tol 1e-12
+pass  derivations  degree-3 counterexample separates    residual 6.667e-01  tol 1e+12
+pass  derivations  D=2 special bracket table            residual 0.000e+00  tol 1e-12
+pass  connections  curvature dual path                  residual 1.790e-15  tol 1e-11
+pass  connections  canonical curvature values central   residual 0.000e+00  tol 1e-13
+pass  connections  covariant coordinates homogeneous    residual 4.441e-16  tol 1e-10
+pass  connections  curvature gauge covariant            residual 6.405e-15  tol 1e-10
+pass  connections  covariant derivative covariant       residual 1.986e-15  tol 1e-10
+pass  connections  action density covariant             residual 9.166e-13  tol 1e-10
+pass  connections  canonical connection invariant       residual 8.951e-16  tol 1e-10
+pass  connections  connection Leibniz                   residual 4.312e-16  tol 1e-11
+pass  connections  F = D cov - structure terms          residual 0.000e+00  tol 1e-11
+pass  graded       graded product associative           residual 4.514e-15  tol 1e-10
+pass  graded       graded unit laws                     residual 0.000e+00  tol 1e-12
+pass  graded       graded involution antihomomorphism   residual 0.000e+00  tol 1e-12
+pass  graded       graded Jacobi on generators          residual 0.000e+00  tol 1e-12
+pass  graded       graded center witness                residual 0.000e+00  tol 1e-12
+pass  graded       graded commutator table              residual 0.000e+00  tol 1e-12
+pass  graded       graded curvature dual path           residual 0.000e+00  tol 1e-11
+pass  graded       graded canonical curvature central   residual 0.000e+00  tol 1e-13
+pass  graded       phi transforms homogeneously         residual 0.000e+00  tol 1e-10
+pass  graded       graded curvature gauge covariant     residual 1.172e-13  tol 1e-10
 """
 
 
-def test_verify_core_residual_lines_pinned(capsys):
-    assert main(["verify", "--scope", "core", "--dim", "2", "--seed", "1"]) == 0
+def test_verify_all_residual_lines_pinned(capsys):
+    assert main(["verify", "--scope", "all", "--dim", "2", "--seed", "1"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
-    assert lines == CORE_D2_SEED1.splitlines()
+    assert lines == ALL_D2_SEED1.splitlines()
