@@ -21,6 +21,7 @@ from .connections import (
     curvature_generic,
 )
 from .expressions import ExpressionError, format_element, parse_expression
+from .gauge import max_residual
 from .oneloop import LoopConfig, bessel_m, ir_coefficient, ir_target, ir_unit
 from .structure import SymplecticStructure
 from .verify import run_suites
@@ -162,60 +163,57 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _report_curvature(args) -> int:
+def _report_table(args, overrides, build, closed, generic, row) -> int:
+    """Curvature table of the connection in ``args.config`` with its dual-path residual.
+
+    ``overrides`` names the flags that replace config keys of the same name,
+    ``build`` makes the connection from the config, ``closed`` and ``generic``
+    give the two curvature paths as entry dicts and ``row`` formats an entry.
+    """
     cfg = _load_config(args.config)
     D, theta = _effective(args, cfg)
     cfg = {**cfg, "D": D, "theta": theta}
-    if args.mu is not None:
-        cfg["mu"] = args.mu
-    if args.alpha is not None:
-        cfg["alpha"] = args.alpha
+    for key in overrides:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     try:
-        A = connection_from_config(cfg, parse=parse_expression)
+        A = build(cfg, parse=parse_expression)
     except (ValueError, ExpressionError) as exc:
         raise InputError(str(exc)) from exc
-    F = curvature(A)
-    Fg = curvature_generic(A)
-    dual = F.max_distance(Fg)
+    F = closed(A)
+    dual = max_residual(F, generic(A))
     tol = args.tol if args.tol is not None else 1e-11
     lines = [CONVENTIONS, f"# dual-path residual {dual:.3e} (tol {tol:.0e})"]
-    for (n1, n2), val in F.entries.items():
-        lines.append(f"F({n1},{n2}) = {format_element(val)}")
+    for (n1, n2), val in F.items():
+        lines.append(f"F({n1},{n2}) = {row(val)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     print(text, end="")
     return 0 if dual <= tol else 1
+
+
+def _report_curvature(args) -> int:
+    return _report_table(
+        args,
+        ("mu", "alpha"),
+        connection_from_config,
+        lambda A: curvature(A).entries,
+        lambda A: curvature_generic(A).entries,
+        format_element,
+    )
 
 
 def _report_graded(args) -> int:
-    cfg = _load_config(args.config)
-    D, theta = _effective(args, cfg)
-    cfg = {**cfg, "D": D, "theta": theta}
-    if args.m is not None:
-        cfg["m"] = args.m
-    if args.mu is not None:
-        cfg["mu"] = args.mu
-    try:
-        A = gr.graded_connection_from_config(cfg, parse=parse_expression)
-    except (ValueError, ExpressionError) as exc:
-        raise InputError(str(exc)) from exc
-    Fc = gr.graded_curvature(A)
-    Fg = gr.graded_curvature_generic(A)
-    dual = max((Fc[k] - Fg[k]).norm() for k in Fc)
-    tol = args.tol if args.tol is not None else 1e-11
-    lines = [CONVENTIONS, f"# dual-path residual {dual:.3e} (tol {tol:.0e})"]
-    for (n1, n2), val in Fc.items():
-        lines.append(
-            f"F({n1},{n2}) = ({format_element(val.even)} | {format_element(val.odd)})"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0 if dual <= tol else 1
+    return _report_table(
+        args,
+        ("m", "mu"),
+        gr.graded_connection_from_config,
+        gr.graded_curvature,
+        gr.graded_curvature_generic,
+        lambda val: f"({format_element(val.even)} | {format_element(val.odd)})",
+    )
 
 
 def _report_oneloop(args) -> int:

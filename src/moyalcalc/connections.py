@@ -30,12 +30,18 @@ generic formula together with the rescaled bracket
 Gauge transformations follow the g^dag ... g convention throughout:
 A^g(X) = g^dag A(X) g + i g^dag [eta(X), g], which makes the covariant
 coordinates and every curvature entry transform homogeneously.
+
+The generic path, the canonical curvature, the dual-path residual, unitary
+conjugation, component filling and config loading are the scaffold in
+``gauge``, shared with the graded connections.  The closed forms above stay
+here: they are the independent path of the dual-path check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from . import gauge
 from .derivations import (
     DerivationGenerator,
     decompose_eta_combination,
@@ -45,7 +51,7 @@ from .derivations import (
     partial_generator,
     sym_generator,
 )
-from .elements import MoyalElement, commutator, is_unitary, star, unit
+from .elements import MoyalElement, commutator, star, unit
 from .structure import SymplecticStructure
 
 __all__ = [
@@ -86,14 +92,10 @@ class ConnectionForm:
     def __post_init__(self):
         if self.mu_scale <= 0 or self.alpha_coupling <= 0:
             raise ValueError("mu_scale and alpha_coupling must be positive")
-        comps = {}
-        for X in self.generators():
-            a = self.components.get(X.name)
-            comps[X.name] = a if a is not None else MoyalElement(self.structure, {})
-            comps[X.name].structure.check_compatible(self.structure)
-        unknown = set(self.components) - set(comps)
-        if unknown:
-            raise ValueError(f"components for unknown generators: {sorted(unknown)}")
+        names = [X.name for X in self.generators()]
+        comps = gauge.fill_components(
+            self.components, names, self.structure, "components for unknown generators"
+        )
         object.__setattr__(self, "components", comps)
 
     def generators(self):
@@ -165,15 +167,7 @@ class CurvatureTable:
         )
 
     def max_distance(self, other: "CurvatureTable") -> float:
-        return max(
-            (self.entries[k] - other.entries[k]).norm() for k in self.entries
-        )
-
-
-def _pair_iter(gens):
-    for i, X in enumerate(gens):
-        for Y in gens[i:]:
-            yield X, Y
+        return gauge.max_residual(self.entries, other.entries)
 
 
 def curvature(A: ConnectionForm, check_tol: float = None) -> CurvatureTable:
@@ -199,7 +193,7 @@ def _curvature_closed(A: ConnectionForm) -> CurvatureTable:
     Ti = s.ThetaInv
     gens = A.generators()
     entries = {}
-    for X, Y in _pair_iter(gens):
+    for X, Y in gauge.pair_iter(gens):
         val = commutator(cov[X.name], cov[Y.name])
         if X.kind == "partial" and Y.kind == "partial":
             val = val - 1j * Ti[X.mu - 1, Y.mu - 1] * unit(s)
@@ -234,16 +228,14 @@ def _bracket_rescaled(X, Y, mu_scale):
 def curvature_generic(A: ConnectionForm) -> CurvatureTable:
     """Curvature from the generic formula; must match ``curvature``."""
     s = A.structure
-    cov = covariant_coordinates(A)
     gens = A.generators()
-    entries = {}
-    for X, Y in _pair_iter(gens):
-        dec = _bracket_rescaled(X, Y, A.mu_scale)
-        val = commutator(cov[X.name], cov[Y.name])
-        inv = -dec.central * unit(s)  # eta([X,Y]) - [eta X, eta Y]
-        for c, Z in dec.terms:
-            val = val - c * cov[Z.name]
-        entries[(X.name, Y.name)] = val + inv
+    entries = gauge.generic_curvature(
+        gens,
+        covariant_coordinates(A),
+        lambda X, Y: _bracket_rescaled(X, Y, A.mu_scale),
+        commutator,
+        unit(s),
+    )
     return CurvatureTable(s, tuple(g.name for g in gens), entries)
 
 
@@ -252,10 +244,9 @@ def canonical_curvature(
 ) -> CurvatureTable:
     """F^inv(X, Y) = eta([X, Y]) - [eta(X), eta(Y)]; every entry is central."""
     gens = _basis(s, basis)
-    entries = {}
-    for X, Y in _pair_iter(gens):
-        dec = _bracket_rescaled(X, Y, mu_scale)
-        entries[(X.name, Y.name)] = -dec.central * unit(s)
+    entries = gauge.canonical_entries(
+        gens, lambda X, Y: _bracket_rescaled(X, Y, mu_scale), unit(s)
+    )
     return CurvatureTable(s, tuple(g.name for g in gens), entries)
 
 
@@ -274,16 +265,12 @@ def covariant_derivative(
 
 def gauge_transform(A: ConnectionForm, g: MoyalElement, tol: float = 1e-10) -> ConnectionForm:
     """A^g(X) = g^dag A(X) g + i g^dag [eta(X), g] for unitary g."""
-    if not is_unitary(g, tol):
-        raise ValueError("gauge transformations require a unitary element")
-    gd = g.dag()
+    gd, conj = gauge.unitary_conjugation(g, tol, "gauge transformations require a unitary element")
     comps = {}
     for X in A.generators():
         inhom = 1j * star(gd, commutator(eta_rescaled(X, A.mu_scale), g))
-        comps[X.name] = star(star(gd, A.component(X)), g) + inhom
-    return ConnectionForm(
-        A.structure, A.basis, comps, mu_scale=A.mu_scale, alpha_coupling=A.alpha_coupling
-    )
+        comps[X.name] = conj(A.component(X)) + inhom
+    return replace(A, components=comps)
 
 
 def _free_pair_weight(X: DerivationGenerator) -> int:
@@ -309,19 +296,18 @@ def action_density(A: ConnectionForm, pieces: bool = False):
         ("partial", "sym"): MoyalElement(s, {}),
         ("sym", "sym"): MoyalElement(s, {}),
     }
-    for i, X in enumerate(gens):
-        for Y in gens[i:]:
-            val = F(X.name, Y.name)
-            if val.is_zero():
-                continue
-            key = (X.kind, Y.kind)
-            mult = _free_pair_weight(X) * _free_pair_weight(Y)
-            # within one sector the free sum visits both slot orders, and the
-            # two squares agree by antisymmetry; the mixed sector has distinct
-            # slot families, so no such doubling
-            if X.kind == Y.kind and X.name != Y.name:
-                mult *= 2
-            sector[key] = sector[key] + mult * star(val, val)
+    for X, Y in gauge.pair_iter(gens):
+        val = F(X.name, Y.name)
+        if val.is_zero():
+            continue
+        key = (X.kind, Y.kind)
+        mult = _free_pair_weight(X) * _free_pair_weight(Y)
+        # within one sector the free sum visits both slot orders, and the
+        # two squares agree by antisymmetry; the mixed sector has distinct
+        # slot families, so no such doubling
+        if X.kind == Y.kind and X.name != Y.name:
+            mult *= 2
+        sector[key] = sector[key] + mult * star(val, val)
     scale = -1.0 / A.alpha_coupling**2
     out = {
         "spatial": scale * sector[("partial", "partial")],
@@ -338,23 +324,11 @@ def connection_from_config(cfg: dict, parse=None) -> ConnectionForm:
     Expected keys: D, theta, mu, alpha, basis, components (a mapping from
     generator names to expression strings; requires ``parse``).
     """
-    try:
-        s = SymplecticStructure(int(cfg["D"]), float(cfg.get("theta", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad connection config: {exc}") from exc
-    basis = cfg.get("basis", "G1")
-    comps = {}
-    for name, expr in (cfg.get("components") or {}).items():
-        if isinstance(expr, str):
-            if parse is None:
-                raise ValueError("expression components need a parser")
-            comps[name] = parse(expr, s)
-        else:
-            comps[name] = expr
+    s = gauge.structure_from_config(cfg, "connection")
     return ConnectionForm(
         s,
-        basis,
-        comps,
+        cfg.get("basis", "G1"),
+        gauge.parse_components(cfg.get("components"), s, parse),
         mu_scale=float(cfg.get("mu", 1.0)),
         alpha_coupling=float(cfg.get("alpha", 1.0)),
     )

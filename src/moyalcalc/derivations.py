@@ -160,22 +160,14 @@ def poisson_bracket(P1: MoyalElement, P2: MoyalElement) -> MoyalElement:
 
 @dataclass(frozen=True)
 class BracketDecomposition:
-    """[eta(X), eta(Y)]_star = central * unit + sum coeff_i eta(X_i)."""
+    """[eta(X), eta(Y)]_star = central * unit + sum coeff_i eta(X_i).
+
+    The graded algebra uses the same record for its graded bracket, with unit
+    (1, 0) and ``GradedGenerator`` terms.
+    """
 
     central: complex
-    terms: tuple  # of (coeff, DerivationGenerator)
-
-    def combination_eta(self, eta_map=None) -> MoyalElement:
-        """Reassemble sum coeff_i eta(X_i) (optionally with custom eta values)."""
-        out = None
-        for c, gen in self.terms:
-            val = eta_map[gen.name] if eta_map is not None else eta(gen)
-            piece = c * val
-            out = piece if out is None else out + piece
-        if out is None:
-            s = self.terms[0][1].structure if self.terms else None
-            raise ValueError("empty decomposition has no structure")
-        return out
+    terms: tuple  # of (coeff, generator)
 
 
 def decompose_eta_combination(

@@ -129,11 +129,24 @@ class Term:
 
 
 def _pruned(merged: dict) -> dict:
-    """``merged`` without coefficients at or below ``PRUNE_REL`` times its largest."""
+    """``merged`` without coefficients at or below ``PRUNE_REL`` times its largest.
+
+    A non-finite coefficient, or one whose modulus overflows, raises
+    ``ValueError`` instead of being dropped.
+    """
     if not merged:
         return merged
-    cutoff = PRUNE_REL * max(map(abs, merged.values()))
-    return {key: c for key, c in merged.items() if abs(c) > cutoff}
+    try:
+        top = max(map(abs, merged.values()))
+    except OverflowError:
+        raise ValueError("coefficients must be finite, got a modulus that overflows") from None
+    cutoff = PRUNE_REL * top
+    kept = {key: c for key, c in merged.items() if abs(c) > cutoff}
+    # an infinite or NaN coefficient always fails the cutoff test (a NaN that
+    # is not first passes max unseen), so terms are tested only when one was dropped
+    if len(kept) < len(merged) and not all(map(cmath.isfinite, merged.values())):
+        raise ValueError("coefficients must be finite")
+    return kept
 
 
 class MoyalElement:

@@ -29,18 +29,23 @@ where cA(X) = -i (cov in the slot of X).  The mass scales m and mu_scale
 enter only the assembled action density (the potential coefficients
 -8/(m theta) and 16/(m theta)^2), not the curvature table, which follows the
 unrescaled generator convention.
+
+The generic formula, the canonical curvature, the dual-path residual, unitary
+conjugation, component filling and config loading are the scaffold in
+``gauge``, shared with the ungraded connections.  The closed component forms
+stay here: they are the independent path of the dual-path check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .derivations import eta, sym_generator
+from . import gauge
+from .derivations import BracketDecomposition, decompose_eta_combination, eta, sym_generator
 from .elements import (
     MoyalElement,
     anticommutator,
     commutator,
-    is_unitary,
     partial,
     pointwise,
     star,
@@ -198,23 +203,13 @@ def graded_eta(X: GradedGenerator) -> GradedElement:
     raise ValueError(f"unknown graded generator kind {X.kind!r}")
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """[eta X, eta Y] = central*(1,0) + sum coeff_i eta(X_i)."""
-
-    central: complex
-    terms: tuple  # of (coeff, GradedGenerator)
-
-
-def decompose_graded(value: GradedElement) -> GradedDecomposition:
+def decompose_graded(value: GradedElement) -> BracketDecomposition:
     """Project a bracket value onto {unit, T, U, M, J} by monomial matching."""
     s = value.structure
     central = value.even.constant_part()
     gens = []
 
     # even part: linear -> T, quadratic -> M (reuse the ungraded machinery)
-    from .derivations import decompose_eta_combination
-
     even_rest = value.even - central * unit(s)
     if not even_rest.is_zero():
         dec = decompose_eta_combination(even_rest)
@@ -238,10 +233,10 @@ def decompose_graded(value: GradedElement) -> GradedDecomposition:
         for c, g in dec.terms:
             gens.append((c, GradedGenerator(s, "U", mu=g.mu)))
 
-    return GradedDecomposition(central=complex(central), terms=tuple(gens))
+    return BracketDecomposition(central=complex(central), terms=tuple(gens))
 
 
-def bracket_graded_generators(X: GradedGenerator, Y: GradedGenerator) -> GradedDecomposition:
+def bracket_graded_generators(X: GradedGenerator, Y: GradedGenerator) -> BracketDecomposition:
     return decompose_graded(graded_bracket(graded_eta(X), graded_eta(Y)))
 
 
@@ -325,24 +320,13 @@ class GradedConnectionForm:
         s = self.structure
         if self.m_scale <= 0 or self.mu_scale <= 0:
             raise ValueError("mass scales must be positive")
-        zero = MoyalElement(s, {})
-
-        def fill(src, names):
-            out = {}
-            for name in names:
-                val = src.get(name)
-                out[name] = val if val is not None else zero
-                out[name].structure.check_compatible(s)
-            if set(src) - set(names):
-                raise ValueError(f"unknown component names: {sorted(set(src) - set(names))}")
-            return out
-
         dnames = [f"d{m}" for m in range(1, s.D + 1)]
         xnames = [f"X{m}{n}" for m in range(1, s.D + 1) for n in range(m, s.D + 1)]
-        object.__setattr__(self, "A0", fill(self.A0, dnames))
-        object.__setattr__(self, "A1", fill(self.A1, dnames))
-        object.__setattr__(self, "G0", fill(self.G0, xnames))
-        object.__setattr__(self, "phi", self.phi if self.phi is not None else zero)
+        unknown = "unknown component names"
+        for group, names in (("A0", dnames), ("A1", dnames), ("G0", xnames)):
+            comps = gauge.fill_components(getattr(self, group), names, s, unknown)
+            object.__setattr__(self, group, comps)
+        object.__setattr__(self, "phi", self.phi if self.phi is not None else MoyalElement(s, {}))
         self.phi.structure.check_compatible(s)
 
     def component(self, X: GradedGenerator) -> GradedElement:
@@ -374,19 +358,18 @@ def graded_covariant_coordinates(A: GradedConnectionForm) -> dict:
 def graded_curvature_generic(A: GradedConnectionForm) -> dict:
     """F(X, Y) over ordered generator pairs from the generic graded formula."""
     s = A.structure
-    gens = graded_generators(s)
-    out = {}
-    for i, X in enumerate(gens):
-        for Y in gens[i:]:
-            dec = bracket_graded_generators(X, Y)
-            # [cA X, cA Y] - cA([X,Y]) + (eta([X,Y]) - [eta X, eta Y]);
-            # the last parenthesis is the central part -dec.central
-            val = graded_bracket(_calA(A, X), _calA(A, Y))
-            for c, Z in dec.terms:
-                val = val - c * _calA(A, Z)
-            val = val - dec.central * graded_unit(s)
-            out[(X.name, Y.name)] = val
-    return out
+    return gauge.generic_curvature(
+        graded_generators(s),
+        graded_covariant_coordinates(A),
+        bracket_graded_generators,
+        graded_bracket,
+        graded_unit(s),
+    )
+
+
+def _xi_xi(s: SymplecticStructure, m: int, n: int) -> MoyalElement:
+    """xi_m xi_n as the symmetrised star product."""
+    return 0.5 * (star(xi(s, m), xi(s, n)) + star(xi(s, n), xi(s, m)))
 
 
 def graded_curvature(A: GradedConnectionForm) -> dict:
@@ -413,96 +396,86 @@ def graded_curvature(A: GradedConnectionForm) -> dict:
     axes = range(1, s.D + 1)
     cov_t = {m: A.A0[f"d{m}"] - xi(s, m) for m in axes}
     cov_u = {m: A.A1[f"d{m}"] - xi(s, m) for m in axes}
-    cov_m = {}
-    for m in axes:
-        for n in range(m, s.D + 1):
-            # xi_m xi_n as the symmetrised star product
-            xx = 0.5 * (star(xi(s, m), xi(s, n)) + star(xi(s, n), xi(s, m)))
-            cov_m[(m, n)] = A.G0[f"X{m}{n}"] - xx
+    cov_m = {
+        (m, n): A.G0[f"X{m}{n}"] - _xi_xi(s, m, n) for m in axes for n in range(m, s.D + 1)
+    }
 
     def covM(m, n):
         return cov_m[(min(m, n), max(m, n))]
 
     Phi = A.phi - unit(s)
     out = {}
-    for i, X in enumerate(gens):
-        for Y in gens[i:]:
-            kinds = (X.kind, Y.kind)
-            if kinds == ("T", "T"):
-                val = GradedElement(
-                    -commutator(cov_t[X.mu], cov_t[Y.mu])
-                    - 1j * Ti[X.mu - 1, Y.mu - 1] * unit(s),
-                    zero,
-                )
-            elif kinds == ("U", "U"):
-                val = GradedElement(
-                    -anticommutator(cov_u[X.mu], cov_u[Y.mu]) - 2.0 * covM(X.mu, Y.mu),
-                    zero,
-                )
-            elif kinds == ("J", "J"):
-                val = GradedElement(-2.0 * star(Phi, Phi) + 2.0 * unit(s), zero)
-            elif kinds == ("T", "J"):
-                val = GradedElement(zero, -commutator(cov_t[X.mu], Phi))
-            elif kinds == ("U", "J"):
-                val = GradedElement(
-                    -anticommutator(cov_u[X.mu], Phi) - 2.0 * cov_t[X.mu], zero
-                )
-            elif kinds == ("M", "J"):
-                val = GradedElement(zero, -commutator(covM(X.mu, X.nu), Phi))
-            elif kinds == ("T", "U"):
-                val = GradedElement(
-                    zero,
-                    -commutator(cov_t[X.mu], cov_u[Y.mu])
-                    + 1j * Ti[X.mu - 1, Y.mu - 1] * Phi,
-                )
-            elif kinds == ("T", "M"):
-                # stored order is (T, M); use graded antisymmetry of F(M, T)
-                m, n, r = Y.mu, Y.nu, X.mu
-                fmt = GradedElement(
-                    -commutator(covM(m, n), cov_t[r])
-                    + 1j * Ti[n - 1, r - 1] * cov_t[m]
-                    + 1j * Ti[m - 1, r - 1] * cov_t[n],
-                    zero,
-                )
-                val = -1.0 * fmt
-            elif kinds == ("U", "M"):
-                m, n, r = Y.mu, Y.nu, X.mu
-                fmu = GradedElement(
-                    zero,
-                    -commutator(covM(m, n), cov_u[r])
-                    + 1j * Ti[n - 1, r - 1] * cov_u[m]
-                    + 1j * Ti[m - 1, r - 1] * cov_u[n],
-                )
-                val = -1.0 * fmu
-            elif kinds == ("M", "M"):
-                m, n = X.mu, X.nu
-                r, t = Y.mu, Y.nu
-                val = GradedElement(
-                    -commutator(covM(m, n), covM(r, t))
-                    + 1j
-                    * (
-                        Ti[n - 1, t - 1] * covM(m, r)
-                        + Ti[n - 1, r - 1] * covM(m, t)
-                        + Ti[m - 1, t - 1] * covM(n, r)
-                        + Ti[m - 1, r - 1] * covM(n, t)
-                    ),
-                    zero,
-                )
-            else:
-                raise AssertionError(f"unhandled pair {kinds}")
-            out[(X.name, Y.name)] = val
+    for X, Y in gauge.pair_iter(gens):
+        kinds = (X.kind, Y.kind)
+        if kinds == ("T", "T"):
+            val = GradedElement(
+                -commutator(cov_t[X.mu], cov_t[Y.mu])
+                - 1j * Ti[X.mu - 1, Y.mu - 1] * unit(s),
+                zero,
+            )
+        elif kinds == ("U", "U"):
+            val = GradedElement(
+                -anticommutator(cov_u[X.mu], cov_u[Y.mu]) - 2.0 * covM(X.mu, Y.mu),
+                zero,
+            )
+        elif kinds == ("J", "J"):
+            val = GradedElement(-2.0 * star(Phi, Phi) + 2.0 * unit(s), zero)
+        elif kinds == ("T", "J"):
+            val = GradedElement(zero, -commutator(cov_t[X.mu], Phi))
+        elif kinds == ("U", "J"):
+            val = GradedElement(
+                -anticommutator(cov_u[X.mu], Phi) - 2.0 * cov_t[X.mu], zero
+            )
+        elif kinds == ("M", "J"):
+            val = GradedElement(zero, -commutator(covM(X.mu, X.nu), Phi))
+        elif kinds == ("T", "U"):
+            val = GradedElement(
+                zero,
+                -commutator(cov_t[X.mu], cov_u[Y.mu])
+                + 1j * Ti[X.mu - 1, Y.mu - 1] * Phi,
+            )
+        elif kinds == ("T", "M"):
+            # stored order is (T, M); use graded antisymmetry of F(M, T)
+            m, n, r = Y.mu, Y.nu, X.mu
+            fmt = GradedElement(
+                -commutator(covM(m, n), cov_t[r])
+                + 1j * Ti[n - 1, r - 1] * cov_t[m]
+                + 1j * Ti[m - 1, r - 1] * cov_t[n],
+                zero,
+            )
+            val = -1.0 * fmt
+        elif kinds == ("U", "M"):
+            m, n, r = Y.mu, Y.nu, X.mu
+            fmu = GradedElement(
+                zero,
+                -commutator(covM(m, n), cov_u[r])
+                + 1j * Ti[n - 1, r - 1] * cov_u[m]
+                + 1j * Ti[m - 1, r - 1] * cov_u[n],
+            )
+            val = -1.0 * fmu
+        elif kinds == ("M", "M"):
+            m, n = X.mu, X.nu
+            r, t = Y.mu, Y.nu
+            val = GradedElement(
+                -commutator(covM(m, n), covM(r, t))
+                + 1j
+                * (
+                    Ti[n - 1, t - 1] * covM(m, r)
+                    + Ti[n - 1, r - 1] * covM(m, t)
+                    + Ti[m - 1, t - 1] * covM(n, r)
+                    + Ti[m - 1, r - 1] * covM(n, t)
+                ),
+                zero,
+            )
+        else:
+            raise AssertionError(f"unhandled pair {kinds}")
+        out[(X.name, Y.name)] = val
     return out
 
 
 def graded_canonical_curvature(s: SymplecticStructure) -> dict:
     """F^inv(X, Y) = eta([X, Y]) - [eta X, eta Y]; central in the graded sense."""
-    gens = graded_generators(s)
-    out = {}
-    for i, X in enumerate(gens):
-        for Y in gens[i:]:
-            dec = bracket_graded_generators(X, Y)
-            out[(X.name, Y.name)] = -dec.central * graded_unit(s)
-    return out
+    return gauge.canonical_entries(graded_generators(s), bracket_graded_generators, graded_unit(s))
 
 
 def graded_gauge_transform(
@@ -516,14 +489,10 @@ def graded_gauge_transform(
     if not g.odd.is_zero(tol):
         raise ValueError("graded gauge elements must have degree 0")
     g0 = g.even
-    if not is_unitary(g0, tol):
-        raise ValueError("gauge transformations require a unitary even part")
+    gd, conj = gauge.unitary_conjugation(
+        g0, tol, "gauge transformations require a unitary even part"
+    )
     s = A.structure
-    gd = g0.dag()
-
-    def conj(a: MoyalElement) -> MoyalElement:
-        return star(star(gd, a), g0)
-
     A0, A1, G0 = {}, {}, {}
     for m in range(1, s.D + 1):
         A0[f"d{m}"] = conj(A.A0[f"d{m}"]) + 1j * star(gd, partial(m, g0))
@@ -533,15 +502,7 @@ def graded_gauge_transform(
             G0[f"X{m}{n}"] = conj(A.G0[f"X{m}{n}"]) + 1j * star(
                 gd, commutator(emn, g0)
             )
-    return GradedConnectionForm(
-        s,
-        A0=A0,
-        A1=A1,
-        G0=G0,
-        phi=conj(A.phi),
-        m_scale=A.m_scale,
-        mu_scale=A.mu_scale,
-    )
+    return replace(A, A0=A0, A1=A1, G0=G0, phi=conj(A.phi))
 
 
 def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
@@ -565,8 +526,7 @@ def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
             raise ValueError("graded action density requires A0 = A1")
     for m in range(1, s.D + 1):
         for n in range(m, s.D + 1):
-            xx = 0.5 * (star(xi(s, m), xi(s, n)) + star(xi(s, n), xi(s, m)))
-            if not (A.G0[f"X{m}{n}"] - xx).is_zero(1e-12):
+            if not (A.G0[f"X{m}{n}"] - _xi_xi(s, m, n)).is_zero(1e-12):
                 raise ValueError(
                     "graded action density requires vanishing covariant M components"
                 )
@@ -595,7 +555,8 @@ def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
     Ti = s.ThetaInv
     for m in range(1, s.D + 1):
         dphi = partial(m, phi) - 1j * commutator(Amu(m), phi)
-        harm = anticommutator(Amu(m), phi) - 2.0 * _pointwise_linear(xi(s, m), phi)
+        # xi_m phi in the harmonic term is the ordinary pointwise product
+        harm = anticommutator(Amu(m), phi) - 2.0 * pointwise(xi(s, m), phi)
         kinetic = kinetic + star(dphi, dphi) + star(harm, harm)
         for n in range(1, s.D + 1):
             fmn = F(m, n)
@@ -625,43 +586,19 @@ def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
     return out
 
 
-def _pointwise_linear(lin: MoyalElement, a: MoyalElement) -> MoyalElement:
-    """xi_m phi in the harmonic term is the ordinary pointwise product."""
-    return pointwise(lin, a)
-
-
 def graded_connection_from_config(cfg: dict, parse=None) -> GradedConnectionForm:
     """Build a graded connection from the JSON-compatible mapping.
 
     Keys: D, theta, m, mu, and component groups A0, A1, G0 (name -> expression)
     plus phi (expression).
     """
-    try:
-        s = SymplecticStructure(int(cfg["D"]), float(cfg.get("theta", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad graded config: {exc}") from exc
-
-    def build(group):
-        out = {}
-        for name, expr in (cfg.get(group) or {}).items():
-            if isinstance(expr, str):
-                if parse is None:
-                    raise ValueError("expression components need a parser")
-                out[name] = parse(expr, s)
-            else:
-                out[name] = expr
-        return out
-
-    phi = cfg.get("phi")
-    if isinstance(phi, str):
-        if parse is None:
-            raise ValueError("expression components need a parser")
-        phi = parse(phi, s)
+    s = gauge.structure_from_config(cfg, "graded")
+    phi = gauge.parse_components({"phi": cfg.get("phi")}, s, parse)["phi"]
     return GradedConnectionForm(
         s,
-        A0=build("A0"),
-        A1=build("A1"),
-        G0=build("G0"),
+        A0=gauge.parse_components(cfg.get("A0"), s, parse),
+        A1=gauge.parse_components(cfg.get("A1"), s, parse),
+        G0=gauge.parse_components(cfg.get("G0"), s, parse),
         phi=phi,
         m_scale=float(cfg.get("m", 1.0)),
         mu_scale=float(cfg.get("mu", 1.0)),

@@ -378,25 +378,19 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
                 "the massless D = 2 tadpole is infrared divergent; "
                 "set ir_regulator to evaluate it"
             )
-        m = math.sqrt(reg2)
-        if m == 0.0:
-            val = -4.0 * (D - 1) * _a_nd(1, D) * bessel_m(1 - D / 2.0, 0.0, pt)
-        else:
-            val = -4.0 * (D - 1) * _a_nd(1, D) * bessel_m(1 - D / 2.0, m, pt)
+        val = -4.0 * (D - 1) * _a_nd(1, D) * bessel_m(1 - D / 2.0, math.sqrt(reg2), pt)
         return {"delta": (val, 1e-12 * abs(val)), "pp": zero, "ptpt": zero}
     if i == 5:
         val = 2.0 * NH * _a_nd(1, D) * bessel_m(1 - D / 2.0, cfg.mu_mass, pt)
         return {"delta": (val, 1e-12 * abs(val)), "pp": zero, "ptpt": zero}
 
-    if i in (1, 2):
-        base2 = reg2
-        if D == 2 and reg2 == 0.0:
-            gauge_scalars_diverge = True
-        else:
-            gauge_scalars_diverge = False
-    else:
-        base2 = mu2
-        gauge_scalars_diverge = False
+    if i in (1, 2) and D == 2 and reg2 == 0.0:
+        raise ValueError(
+            f"omega{i} delta/pp structures are infrared divergent for "
+            "massless D = 2 loops; set ir_regulator or use the ptpt "
+            "projection only"
+        )
+    base2 = reg2 if i in (1, 2) else mu2
 
     def msq(x):
         return base2 + x * (1.0 - x) * p2
@@ -409,9 +403,6 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
 
     def j2_delta(x):
         return a2 * bessel_m(1 - D / 2.0, math.sqrt(msq(x)), pt)
-
-    def j2_ptpt(x):
-        return -a2 * bessel_m(-D / 2.0, math.sqrt(msq(x)), pt)
 
     if i == 1:
         def kern_delta(x):
@@ -426,18 +417,12 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
             _c_q2, _c_p2, c_pp, _c_qq = _omega1_even_coeffs(x, D, p2)
             return -2.0 * c_pp * j2(x)
 
-        def kern_ptpt(x):
-            return -2.0 * (4.0 * D - 6.0) * j2_ptpt(x)
-
     elif i == 2:
         def kern_delta(x):
             return -2.0 * j2_delta(x)
 
         def kern_pp(x):
             return -2.0 * (1.0 - x) ** 2 * j2(x)
-
-        def kern_ptpt(x):
-            return -2.0 * j2_ptpt(x)
 
     else:  # i == 4
         def kern_delta(x):
@@ -446,24 +431,20 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
         def kern_pp(x):
             return -2.0 * NH * (2.0 * x - 1.0) ** 2 * j2(x)
 
-        def kern_ptpt(x):
-            return -8.0 * NH * j2_ptpt(x)
-
     out = {}
-    for name, kern in (("delta", kern_delta), ("pp", kern_pp), ("ptpt", kern_ptpt)):
-        if name in ("delta", "pp") and gauge_scalars_diverge:
-            raise ValueError(
-                f"omega{i} delta/pp structures are infrared divergent for "
-                "massless D = 2 loops; set ir_regulator or use the ptpt "
-                "projection only"
-            )
+    for name, kern in (("delta", kern_delta), ("pp", kern_pp)):
         val, err = integrate.quad(kern, 0.0, 1.0, **_QUAD_OPTS)
         out[name] = (val, err)
+    out["ptpt"] = _ptpt_structure(i, cfg)
     return out
 
 
 def _ptpt_structure(i: int, cfg: LoopConfig) -> tuple:
-    """The ptpt coefficient alone; finite for every diagram and dimension."""
+    """The ptpt coefficient (value, error) alone; finite for every diagram and dimension.
+
+    The ptpt part of omega_1, omega_2 and omega_4 is pref * J_{2,ptpt} with
+    J_{2,ptpt}(x) = -a_{2,D} M_{-D/2}(m(x) pt); diagrams 3 and 5 have none.
+    """
     if i in (3, 5):
         return (0.0, 0.0)
     D = cfg.D

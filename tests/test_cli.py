@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,6 +36,15 @@ def test_star_non_finite_wave_exits_2(left, right, capsys):
     code, out, err = run_cli(["star", "--dim", "2", left, right], capsys)
     assert code == 2
     assert err.startswith("error:") and "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("left, right", [("1e308", "1e308"), ("1e200*x1", "1e200*x2")])
+def test_star_overflowing_coefficients_exit_2(left, right, capsys):
+    # finite inputs whose product coefficients overflow to inf
+    code, out, err = run_cli(["star", "--dim", "2", left, right], capsys)
+    assert code == 2
+    assert err == "error: coefficients must be finite\n"
     assert out == ""
 
 
@@ -99,6 +109,45 @@ def test_graded_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(["graded", "--config", str(cfg)], capsys)
     assert code == 0
     assert "F(J,J)" in out
+
+
+_CONN_CFG = {
+    "basis": "G2",
+    "mu": 1.0,
+    "alpha": 1.0,
+    "components": {"d1": "0.3 W[1.0,0.5] + x1", "X12": "x1 x2"},
+}
+_GRADED_CFG = {
+    "D": 2,
+    "m": 1.0,
+    "phi": "0.3 + 0.2 W[0.5,0.5] + 0.2 W[-0.5,-0.5]",
+    "A0": {"d1": "x2"},
+    "A1": {"d1": "x2"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags, digest",
+    [
+        ("curvature", {"D": 2, "theta": 1.0, **_CONN_CFG}, [],
+         "10fd7771850b917d1fc1e54c17ace6d4baa347f3b54ec39603fd2a8feb3b5893"),
+        ("curvature", {"D": 2, **_CONN_CFG}, ["--theta", "0.75", "--mu", "0.7"],
+         "eae3dda2cfa96a252cf6d27e7b246a539061e1667ad579d0a39d08dd0439a11a"),
+        ("graded", _GRADED_CFG, [],
+         "cc11d42969d9948b4cdaca965905ade20aaf158f0af5693601e043e91d251fac"),
+        ("graded", _GRADED_CFG, ["--theta", "0.3"],
+         "5df6d89b24e4e22f8973277cbcc2be96223fd28b4f675cb58a093794745174ee"),
+    ],
+)
+def test_table_output_pinned(command, cfg, flags, digest, tmp_path, capsys):
+    """sha256 of the whole table report: convention sheet, dual-path residual
+    line and every row.  The flagged cases print a nonzero residual, so the
+    generic curvature path is pinned to the bit as well."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli([command, "--config", str(path), *flags], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oneloop_csv_and_window_checks(tmp_path, capsys):

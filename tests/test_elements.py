@@ -281,6 +281,27 @@ def test_non_finite_wave_vectors_raise():
         star(w1, w2)
 
 
+def test_non_finite_coefficients_raise():
+    # a NaN that is not the first term is skipped by max() and dropped by the
+    # cutoff test, so the check must not depend on term order
+    nan_line, x1_line = "nan 0.0 | 0 0 | 0.0 0.0", "1.0 0.0 | 1 0 | 0.0 0.0"
+    for text in (f"{nan_line}\n{x1_line}", f"{x1_line}\n{nan_line}"):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            load_element(text, S2)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        MoyalElement(S2, {((0, 0), (0.0, 0.0)): np.inf})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        MoyalElement(S2, {((0, 0), (0.0, 0.0)): complex(1.5e308, 1.5e308)})
+    # finite operands whose sum and product overflow
+    c = 1e308 * unit(S2)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        c + c
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        star(c, c)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        commutator(1e200 * coordinate(S2, 1), 1e200 * coordinate(S2, 2))
+
+
 def _bits(a):
     # repr tells -0.0 from 0.0, so a flipped signed zero fails the comparison
     return [(key, repr(c)) for key, c in a.items()]
