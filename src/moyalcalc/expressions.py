@@ -10,6 +10,13 @@
     complex := real | real "i" | "(" real ("+"|"-") real "i" ")"
     index   := nonzero decimal <= D
 
+A sum merges its products into one term map that is pruned and sorted once,
+so parsing is linear in the term count.  From the first product that shares
+a key with the terms before it, the sum folds term by term with ``+`` and
+``-``, because there the intermediate prunes decide which cancelled terms
+survive (``1e13 + x1 - 1e13`` is ``0``).  Either way the result equals the
+fold of the whole sum bit for bit.
+
 Syntax and range errors carry 1-based column positions.  The printer emits
 one canonical form per element (sorted terms, explicit "*", repr floats), so
 parse(print(e)) reproduces e exactly and printing is idempotent.
@@ -104,19 +111,26 @@ class _Parser:
         # leading unary minus accepted as a convenience superset of the grammar
         if self.sc.peek() == "-":
             self.sc.pos += 1
-            value = -self.product()
+            first = -self.product()
         else:
-            value = self.product()
-        while True:
-            ch = self.sc.peek()
-            if ch == "+":
-                self.sc.pos += 1
-                value = value + self.product()
-            elif ch == "-":
-                self.sc.pos += 1
-                value = value - self.product()
+            first = self.product()
+        merged, value = dict(first.terms), None
+        while (ch := self.sc.peek()) in ("+", "-"):
+            self.sc.pos += 1
+            p = self.product()
+            if value is None and not merged.keys().isdisjoint(p.terms):
+                # a shared key can cancel, and the intermediate prunes then
+                # decide which small terms survive, so the rest folds term by
+                # term; up to here one prune keeps what step-by-step prunes
+                # keep, because the largest term survives them all
+                value = MoyalElement._trusted(self.s, merged)
+            if value is None:
+                # a new key gets 0j + c or 0j - c, the value + and - give it
+                for key, c in p.terms.items():
+                    merged[key] = 0j + c if ch == "+" else 0j - c
             else:
-                return value
+                value = value + p if ch == "+" else value - p
+        return MoyalElement._trusted(self.s, merged) if value is None else value
 
     def _starts_factor(self, ch: str) -> bool:
         return bool(ch) and (ch in "(xW" or ch.isdigit() or ch == ".")

@@ -356,7 +356,8 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
     Returns {"delta": (value, err), "pp": ..., "ptpt": ...} such that the
     tensor is delta*I + pp * p p + ptpt * pt pt.  The Feynman-parameter
     integrals are evaluated adaptively; entries that are infrared divergent
-    (the massless D = 2 scalar integrals when no regulator is set) raise.
+    raise: the massless D = 2 gauge integrals (diagrams 1-3) when no regulator
+    is set, and the D = 2 Higgs bubble (diagram 4) when mu_mass is 0.
     """
     if i not in (1, 2, 3, 4, 5):
         raise ValueError("diagram index must be in 1..5")
@@ -389,6 +390,11 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
             f"omega{i} delta/pp structures are infrared divergent for "
             "massless D = 2 loops; set ir_regulator or use the ptpt "
             "projection only"
+        )
+    if i == 4 and D == 2 and mu2 == 0.0 and NH > 0:
+        raise ValueError(
+            "omega4 pp structure is infrared divergent for a massless D = 2 "
+            "Higgs loop; set mu_mass or use the ptpt projection only"
         )
     base2 = reg2 if i in (1, 2) else mu2
 

@@ -32,6 +32,7 @@ from .elements import (
     partial,
     plane_wave,
     pointwise,
+    rel_distance,
     star,
     unit,
     xi,
@@ -88,11 +89,6 @@ def random_polynomial(rng, s: SymplecticStructure, max_terms=4, max_degree=3) ->
     return MoyalElement(s, terms)
 
 
-def _rel(lhs: MoyalElement, rhs: MoyalElement) -> float:
-    scale = max(lhs.norm(), rhs.norm(), 1.0)
-    return (lhs - rhs).norm() / scale
-
-
 # ---------------------------------------------------------------------------
 # core algebra
 # ---------------------------------------------------------------------------
@@ -105,7 +101,7 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
     worst = 0.0
     for _ in range(n_random):
         a, b, c = (random_element(rng, s) for _ in range(3))
-        worst = max(worst, _rel(star(star(a, b), c), star(a, star(b, c))))
+        worst = max(worst, rel_distance(star(star(a, b), c), star(a, star(b, c))))
     checks.append(Check("star associativity", worst, 1e-10))
 
     w_leib = w_inv = w_xcomm = w_xprod = w_xmix = w_quad = w_cubic = 0.0
@@ -117,10 +113,10 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
         for mu in range(1, D + 1):
             w_leib = max(
                 w_leib,
-                _rel(partial(mu, star(aw, bw)),
-                     star(partial(mu, aw), bw) + star(aw, partial(mu, bw))),
+                rel_distance(partial(mu, star(aw, bw)),
+                             star(partial(mu, aw), bw) + star(aw, partial(mu, bw))),
             )
-        w_inv = max(w_inv, _rel(star(aw, bw).dag(), star(bw.dag(), aw.dag())))
+        w_inv = max(w_inv, rel_distance(star(aw, bw).dag(), star(bw.dag(), aw.dag())))
         for mu in range(1, D + 1):
             xmu = coordinate(s, mu)
             grad = None
@@ -129,20 +125,20 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
                 if t != 0.0:
                     piece = (1j * t) * partial(nu, a)
                     grad = piece if grad is None else grad + piece
-            w_xcomm = max(w_xcomm, _rel(commutator(xmu, a), grad))
+            w_xcomm = max(w_xcomm, rel_distance(commutator(xmu, a), grad))
             half = None
             for nu in range(1, D + 1):
                 t = s.Theta[mu - 1, nu - 1]
                 if t != 0.0:
                     piece = (0.5j * t) * partial(nu, a)
                     half = piece if half is None else half + piece
-            w_xprod = max(w_xprod, _rel(star(xmu, a), pointwise(xmu, a) + half))
+            w_xprod = max(w_xprod, rel_distance(star(xmu, a), pointwise(xmu, a) + half))
             mixed = star(pointwise(xmu, aw), bw)
             for nu in range(1, D + 1):
                 t = s.Theta[mu - 1, nu - 1]
                 if t != 0.0:
                     mixed = mixed - (0.5j * t) * star(aw, partial(nu, bw))
-            w_xmix = max(w_xmix, _rel(pointwise(xmu, star(aw, bw)), mixed))
+            w_xmix = max(w_xmix, rel_distance(pointwise(xmu, star(aw, bw)), mixed))
         mu, nu = (int(rng.integers(1, D + 1)) for _ in range(2))
         xmu, xnu = coordinate(s, mu), coordinate(s, nu)
         xx = pointwise(xmu, xnu)
@@ -162,8 +158,8 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
         base = pointwise(xx, a)
         if second is None:
             second = MoyalElement(s, {})
-        w_quad = max(w_quad, _rel(star(xx, a), base + first + second))
-        w_quad = max(w_quad, _rel(star(a, xx), base - first + second))
+        w_quad = max(w_quad, rel_distance(star(xx, a), base + first + second))
+        w_quad = max(w_quad, rel_distance(star(a, xx), base - first + second))
         rho = int(rng.integers(1, D + 1))
         xr = coordinate(s, rho)
         xxx = pointwise(xx, xr)
@@ -186,7 +182,7 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
                     )
                     if t != 0.0:
                         rhs = rhs - 0.25j * t * partial(al, partial(sg, partial(lam, a)))
-        w_cubic = max(w_cubic, _rel(lhs, rhs))
+        w_cubic = max(w_cubic, rel_distance(lhs, rhs))
     checks.append(Check("Leibniz d(a*b)", w_leib, 1e-12))
     checks.append(Check("involution (a*b)+ = b+*a+", w_inv, 1e-12))
     checks.append(Check("[x_mu, a] = i Theta grad a", w_xcomm, 1e-12))
@@ -209,7 +205,7 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
     for _ in range(max(10, n_random // 5)):
         a = random_element(rng, s)
         for mu in range(1, D + 1):
-            worst = max(worst, _rel(partial(mu, a), commutator(1j * xi(s, mu), a)))
+            worst = max(worst, rel_distance(partial(mu, a), commutator(1j * xi(s, mu), a)))
     checks.append(Check("d_mu = [i xi_mu, .]", worst, 1e-12))
 
     # center witness: every nonscalar monomial of degree <= 3 fails to commute
@@ -249,7 +245,7 @@ def verify_derivations(D: int, theta: float, seed: int, n_random: int = 40) -> l
         a = random_element(rng, s)
         lhs = commutator(P, commutator(Q, a)) - commutator(Q, commutator(P, a))
         rhs = commutator(commutator(P, Q), a)
-        worst = max(worst, _rel(lhs, rhs))
+        worst = max(worst, rel_distance(lhs, rhs))
     checks.append(Check("[Ad_P, Ad_Q] = Ad_[P,Q]", worst, 1e-11))
 
     d1, d2 = partial_generator(s, 1), partial_generator(s, 2)
@@ -310,14 +306,14 @@ def verify_derivations(D: int, theta: float, seed: int, n_random: int = 40) -> l
         for X in (partial_generator(s, 1), sym_generator(s, 1, min(2, D))):
             lhs = apply_derivation(X, a.dag())
             rhs = apply_derivation(X, a).dag()
-            worst = max(worst, _rel(lhs, rhs))
+            worst = max(worst, rel_distance(lhs, rhs))
     checks.append(Check("real generators commute with dagger", worst, 1e-12))
 
     worst = 0.0
     for _ in range(n_random):
         P = random_polynomial(rng, s, max_degree=2)
         Q = random_polynomial(rng, s, max_degree=2)
-        worst = max(worst, _rel(commutator(P, Q), 1j * poisson_bracket(P, Q)))
+        worst = max(worst, rel_distance(commutator(P, Q), 1j * poisson_bracket(P, Q)))
     checks.append(Check("Moyal = i Poisson on degree <= 2", worst, 1e-12))
 
     P1 = coordinate(s, 1) ** 3
@@ -382,11 +378,12 @@ def verify_connections(D: int, theta: float, seed: int, n_random: int = 20) -> l
     F = conn.curvature(A)
     dens = conn.action_density(A)
     Dv = conn.covariant_derivative(A, 1, 1, min(2, D))
+    cov = conn.covariant_coordinates(A)
     for _ in range(n_random):
         g = random_gauge(rng, s)
         gd = g.dag()
         Ag = conn.gauge_transform(A, g)
-        cov, covg = conn.covariant_coordinates(A), conn.covariant_coordinates(Ag)
+        covg = conn.covariant_coordinates(Ag)
         conj_cov = {name: star(star(gd, v), g) for name, v in cov.values.items()}
         worst_cov = max(worst_cov, max_residual(covg.values, conj_cov))
         worst_f = max(
@@ -414,7 +411,10 @@ def verify_connections(D: int, theta: float, seed: int, n_random: int = 20) -> l
         X = partial_generator(s, int(rng.integers(1, D + 1)))
         Amu = A.component(X)
         nab = lambda v: apply_derivation(X, v) - 1j * star(Amu, v)
-        worst = max(worst, _rel(nab(star(a, b)), star(nab(a), b) + star(a, apply_derivation(X, b))))
+        worst = max(
+            worst,
+            rel_distance(nab(star(a, b)), star(nab(a), b) + star(a, apply_derivation(X, b))),
+        )
     checks.append(Check("connection Leibniz", worst, 1e-11))
 
     worst = 0.0

@@ -90,3 +90,90 @@ def test_round_trip_corpus():
 def test_wave_negative_components():
     e = parse_expression("W[-1.5,0.25]", S2)
     assert (e - plane_wave(S2, (-1.5, 0.25))).norm() == 0.0
+
+
+S4 = SymplecticStructure(4, 1.0)
+
+# coefficients from 1e-13 to 1e13 make the relative prune drop terms
+_SCALARS = ("2.0", "0.5", "3i", "(1.5-0.25i)", "1e13", "1e-13", "7.25")
+
+
+def _random_factor(rng, s, wide):
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return _SCALARS[int(rng.integers(0, len(_SCALARS)))]
+    if kind == 1:
+        power = int(rng.integers(1, 9 if wide else 3))
+        return f"x{int(rng.integers(1, s.D + 1))}^{power}"
+    comps = rng.integers(-8 if wide else -1, 9 if wide else 2, size=s.D) / 4.0
+    return "W[" + ",".join(repr(float(c)) for c in comps) + "]"
+
+
+def _random_product(rng, s, depth, wide):
+    """(text, value) of a random product; parenthesised sums fold by reference."""
+    texts, value = [], None
+    for _ in range(int(rng.integers(1, 4))):
+        if depth > 0 and rng.random() < 0.2:
+            inner, v = _random_sum(rng, s, depth - 1, wide)
+            text = f"({inner})"
+        else:
+            text = _random_factor(rng, s, wide)
+            v = parse_expression(text, s)
+        texts.append(text)
+        value = v if value is None else pointwise(value, v)
+    return "*".join(texts), value
+
+
+def _random_sum(rng, s, depth, wide):
+    """(text, value) of a random sum; the value is the left fold with + and -."""
+    texts, value = [], None
+    for j in range(int(rng.integers(1, 7))):
+        text, v = _random_product(rng, s, depth, wide)
+        minus = rng.random() < 0.4
+        if j == 0:
+            texts.append(f"-{text}" if minus else text)
+            value = -v if minus else v
+        else:
+            texts.append(f" {'-' if minus else '+'} {text}")
+            value = value - v if minus else value + v
+    return "".join(texts), value
+
+
+def _bits(e):
+    return [(key, repr(c)) for key, c in e.terms.items()]
+
+
+@pytest.mark.parametrize("s", [S2, S4], ids=["D2", "D4"])
+def test_sum_parsing_matches_the_fold(s):
+    """Sums parse to the left fold of + and - over their products, bit for bit."""
+    rng = np.random.default_rng(5)
+    # few distinct keys repeat across products; many distinct keys rarely do
+    cases = [_random_sum(rng, s, 2, wide) for wide in (False, True) for _ in range(150)]
+    x1, one = parse_expression("x1", s), unit(s, 1e13)
+    cases += [
+        ("x1 + x1 - x1", x1 + x1 - x1),
+        ("1e13 + x1 - 1e13", one + x1 - one),
+        ("1e13 + 1e-13*x1", one + pointwise(unit(s, 1e-13), x1)),
+        ("-x1 - 1e13 + (x1 - x1)", -x1 - one + (x1 - x1)),
+    ]
+    for text, expect in cases:
+        assert _bits(parse_expression(text, s)) == _bits(expect), text
+
+
+def test_sum_parsing_does_linear_work(monkeypatch):
+    """A sum of n distinct terms passes O(n) entries through the prune."""
+    from moyalcalc import elements
+
+    n = 2000
+    e = MoyalElement(S2, {((i % 50, i // 50), (0.0, 0.0)): 1.0 + i for i in range(n)})
+    text = format_element(e)
+    sizes = []
+    pruned = elements._pruned
+
+    def counting(merged):
+        sizes.append(len(merged))
+        return pruned(merged)
+
+    monkeypatch.setattr(elements, "_pruned", counting)
+    assert _bits(parse_expression(text, S2)) == _bits(e)
+    assert sum(sizes) <= 10 * n

@@ -8,6 +8,7 @@ is evaluated numerically.  No Bessel function enters the oracle.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +206,19 @@ def test_nonplanar_structures_d2_gauge_divergence_flagged():
     # the Higgs diagrams need no regulator
     res4 = omega_nonplanar(4, cfg)
     assert np.all(np.isfinite(res4.value))
+
+
+def test_nonplanar_structures_d2_massless_higgs_divergence_flagged():
+    cfg = LoopConfig(D=2, theta=1.0, n_higgs=3, mu_mass=0.0, p=(0.05, 0.0))
+    with pytest.raises(ValueError, match="infrared divergent"):
+        nonplanar_structures(4, cfg)
+    # without Higgs fields the diagram vanishes
+    empty = nonplanar_structures(4, replace(cfg, n_higgs=0))
+    assert all(v == 0.0 for pair in empty.values() for v in pair)
+    # the IR fit projects on ptpt only, which stays finite
+    pts = np.geomspace(0.01, 0.1, 6)
+    res = ir_coefficient(cfg, [np.array([x, 0.0]) for x in pts])
+    assert np.isfinite(res.value)
 
 
 def test_ir_coefficient_acceptance_smoke_d2():
