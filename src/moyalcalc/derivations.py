@@ -26,6 +26,7 @@ import numpy as np
 
 from .elements import (
     MoyalElement,
+    _fold,
     commutator,
     monomial,
     partial,
@@ -140,17 +141,14 @@ def poisson_bracket(P1: MoyalElement, P2: MoyalElement) -> MoyalElement:
     if not (P1.is_polynomial() and P2.is_polynomial()):
         raise ValueError("poisson_bracket requires pure polynomials (k = 0)")
     s = P1.structure
-    out = None
-    for mu in range(1, s.D + 1):
-        d1 = partial(mu, P1)
-        if d1.is_zero():
-            continue
-        for nu in range(1, s.D + 1):
-            t = s.Theta[mu - 1, nu - 1]
-            if t == 0.0:
-                continue
-            piece = t * pointwise(d1, partial(nu, P2))
-            out = piece if out is None else out + piece
+    grads = [(mu, partial(mu, P1)) for mu in range(1, s.D + 1)]
+    out = _fold(
+        t * pointwise(d1, partial(nu, P2))
+        for mu, d1 in grads
+        if not d1.is_zero()
+        for nu, t in enumerate(s.Theta[mu - 1], start=1)
+        if t != 0.0
+    )
     return out if out is not None else MoyalElement(s, {})
 
 

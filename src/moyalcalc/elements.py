@@ -23,13 +23,19 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
 ``_star_terms`` evaluates them as follows:
 
   * the shifts are closed forms, exp(v . d) x^alpha = prod_mu sum_j
-    C(alpha_mu, j) v_mu^(alpha_mu - j) x_mu^j, with their monomials listed
-    in order-by-order expansion order (the coupling sums in that order);
-  * the coupling (iv) is a finite sum bounded by the monomial degrees.  It
-    is a pure function of (alpha1, v, alpha2, w, Theta), so it comes from one
-    of two bounded process-wide caches: ``_monomial_couple`` (1024 entries)
-    when neither side is shifted and ``_shifted_couple`` (256 entries)
-    otherwise.  Cached dicts are shared by every caller and are read-only;
+    C(alpha_mu, j) v_mu^(alpha_mu - j) x_mu^j;
+  * Theta = theta diag(J, ..., J) is block diagonal, so the coupling (iv) is
+    a product of one factor per symplectic 2-plane.  Within a plane, order n
+    lands on a single monomial with coefficient (i Theta_12 / 2)^n times an
+    integer, so each coefficient of a monomial pair is rounded once from
+    exact integers: it is exact at dyadic theta and correctly rounded
+    otherwise.  A coefficient beyond the float range raises ``ValueError``
+    ("coefficients must be finite").  The coupling of shifted monomials is
+    the bilinear sum of these over the monomials of the two shifts;
+  * couplings are pure functions of (alpha1, v, alpha2, w, Theta), so they
+    come from two bounded process-wide caches: ``_monomial_couple`` (1024
+    entries) when neither side is shifted and ``_shifted_couple`` (256
+    entries) otherwise.  Cached dicts are shared and read-only;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
     significant bits) and is not snapped above, so k1 + k2 needs no
@@ -42,13 +48,11 @@ the structure check.  ``commutator`` and ``anticommutator`` prune the two
 products exactly as ``star`` does and combine them key by key exactly as
 ``-`` and ``+`` do, without building the two intermediate elements.
 
-All of these reproduce the floating-point results of the plain order-by-order
-expansion when theta k is a short dyadic (the closed-form shift is within a
-few ulp of it otherwise).  Coefficients below ``PRUNE_REL`` times the largest
-modulus in an element are dropped after every operation; term iteration is in
-lexicographic (alpha, k) order so all reductions are deterministic.  Wave
-vector components must be finite: an infinite or NaN component, given or
-reached by a wave sum that overflows, raises ``ValueError``.
+Coefficients below ``PRUNE_REL`` times the largest modulus in an element are
+dropped after every operation; term iteration is in lexicographic (alpha, k)
+order so all reductions are deterministic.  Wave vector components must be
+finite: an infinite or NaN component, given or reached by a wave sum that
+overflows, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isfinite
+from itertools import product
+from math import comb, isfinite, perm
 from operator import add, sub
 
 import numpy as np
@@ -214,14 +219,18 @@ class MoyalElement:
             return unit(self.structure, other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Key-by-key ``self op other``, or NotImplemented for a foreign operand."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0j) + c
+            terms[key] = op(terms.get(key, 0j), c)
         return MoyalElement._trusted(self.structure, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -231,13 +240,7 @@ class MoyalElement:
         )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0j) - c
-        return MoyalElement._trusted(self.structure, terms)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -361,120 +364,97 @@ def xi(s: SymplecticStructure, mu: int) -> MoyalElement:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers on plain dicts alpha -> coeff
+# the monomial coupling, one symplectic plane at a time
 # ---------------------------------------------------------------------------
 
-def _poly_partial(poly: dict, ax: int) -> dict:
-    out = {}
-    for alpha, c in poly.items():
-        e = alpha[ax]
-        if e > 0:
-            key = alpha[:ax] + (e - 1,) + alpha[ax + 1 :]
-            out[key] = out.get(key, 0j) + e * c
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _shift_keys(alpha: tuple, moving: tuple) -> tuple:
-    """Monomials of exp(v . d) x^alpha in order-by-order expansion order.
-
-    ``moving`` lists the axes with v_mu != 0 and alpha_mu > 0. Order n lowers
-    one axis of each order n-1 monomial, axes outermost. ``_star_couple`` sums
-    in its operands' key order and its 1/n weights are not dyadic, so this
-    order keeps its roundings those of the order-by-order expansion.
-    """
-    keys = [alpha]
-    layer = [alpha]
-    while layer:
-        nxt = {}
-        for ax in moving:
-            for beta in layer:
-                if beta[ax]:
-                    nxt.setdefault(beta[:ax] + (beta[ax] - 1,) + beta[ax + 1 :], None)
-        layer = list(nxt)
-        keys += layer
-    return tuple(keys)
-
-
 def _shift_monomial(alpha: tuple, v) -> dict:
-    """exp(v . d) x^alpha in closed form.
+    """exp(v . d) x^alpha in closed form; ``v`` None means no shift.
 
     The shift factorises over axes, prod_mu sum_j C(alpha_mu, j)
     v_mu^(alpha_mu - j) x_mu^j, so each coefficient is one product of a
     binomial and a power per axis; exact when the v_mu are short dyadics.
     """
-    columns = []
-    for ax, (a, vx) in enumerate(zip(alpha, v)):
+    out = {alpha: 1.0}
+    for ax, (a, vx) in enumerate(zip(alpha, v or ())):
         if a and vx != 0.0:
-            col = [0.0] * (a + 1)
+            col = []
             power = 1.0
             for j in range(a, -1, -1):
-                col[j] = comb(a, j) * power
+                col.append((j, comb(a, j) * power))
                 power *= vx
-            columns.append((ax, col))
-    out = {}
-    for key in _shift_keys(alpha, tuple(ax for ax, _col in columns)):
-        c = 1.0
-        for ax, col in columns:
-            c *= col[key[ax]]
-        out[key] = c
+            out = {
+                key[:ax] + (j,) + key[ax + 1 :]: c * cj for key, c in out.items() for j, cj in col
+            }
     return out
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out = {}
-    for a1, c1 in p.items():
-        for a2, c2 in q.items():
-            key = tuple(map(add, a1, a2))
-            out[key] = out.get(key, 0j) + c1 * c2
-    return out
+def _plane_couple(a1: int, a2: int, b1: int, b2: int, t: float) -> list:
+    """One plane's factor of the coupling of x^(a1, a2) (x) x^(b1, b2).
 
-
-def _star_couple(p: dict, q: dict, theta_nz) -> dict:
-    """exp(i/2 Theta^{mu nu} d_mu (x) d_nu) acting on p (x) q, then multiplied."""
-    out = _poly_mul(p, q)
-    frontier = [(1 + 0j, p, q)]
-    order = 1
-    while frontier:
-        nxt = []
-        for c, pa, pb in frontier:
-            for mu, nu, t in theta_nz:
-                da = _poly_partial(pa, mu)
-                if not da:
-                    continue
-                db = _poly_partial(pb, nu)
-                if not db:
-                    continue
-                nxt.append((c * 0.5j * t / order, da, db))
-        frontier = nxt
-        for c, pa, pb in frontier:
-            for alpha, cc in _poly_mul(pa, pb).items():
-                out[alpha] = out.get(alpha, 0j) + c * cc
-        order += 1
+    With T = Theta_12 = t, the plane's coupling is exp(i T/2 (d1 (x) d2 - d2 (x) d1)).
+    Its order n lands on the single monomial (a1 + b1 - n, a2 + b2 - n) with
+    coefficient (i T/2)^n S_n, where S_n = sum_{j+l=n} (-1)^l C(a1,j) C(b2,j) j!
+    C(a2,l) C(b1,l) l! is an integer. Writing T/2 = P/Q in lowest terms, the
+    list holds (monomial, n, S_n P^n, Q^n) for every S_n != 0.
+    """
+    p, q = (t / 2).as_integer_ratio()
+    out = []
+    for n in range(min(a1, b2) + min(a2, b1) + 1):
+        s_n = sum((-1) ** (n - j) * perm(a1, j) * comb(b2, j) * perm(a2, n - j) * comb(b1, n - j)
+                  for j in range(n + 1))
+        if s_n:
+            out.append(((a1 + b1 - n, a2 + b2 - n), n, s_n * p**n, q**n))
     return out
 
 
 @lru_cache(maxsize=1024)
-def _monomial_couple(alpha1: tuple, alpha2: tuple, theta_nz: tuple) -> dict:
-    """``_star_couple`` of two unit monomials; shared, so callers must not mutate it."""
-    return _star_couple({alpha1: 1 + 0j}, {alpha2: 1 + 0j}, theta_nz)
+def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
+    """exp(i/2 Theta^{mu nu} d_mu (x) d_nu) x^alpha1 (x) x^alpha2, multiplied out.
+
+    Theta is block diagonal, so the coupling is the outer product of one
+    ``_plane_couple`` list per plane (``planes`` holds (i, i + 1, Theta_i,i+1)).
+    Each coefficient i^N num/den is rounded once from exact integers, so it is
+    the correctly rounded exact value, and exact at dyadic theta. The result is
+    shared, so callers must not mutate it.
+    """
+    out = {}
+    for combo in product(*(_plane_couple(alpha1[i], alpha1[j], alpha2[i], alpha2[j], t)
+                           for i, j, t in planes)):
+        key, order, num, den = (), 0, 1, 1
+        for mono, n, num_p, den_p in combo:
+            key += mono
+            order += n
+            num *= num_p
+            den *= den_p
+        if order % 4 >= 2:
+            num = -num
+        try:
+            c = num / den
+        except OverflowError:
+            raise ValueError("coefficients must be finite") from None
+        out[key] = complex(0.0, c) if order % 2 else complex(c, 0.0)
+    return out
 
 
 # kept apart from _monomial_couple: shifted couplings are larger (a few KB at
 # degree 8), so one shared cache either evicts the small unshifted entries at
 # 256 slots or holds megabytes of them at 1024
 @lru_cache(maxsize=256)
-def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, theta_nz: tuple) -> dict:
-    """``_star_couple`` of x^alpha1 shifted by v and x^alpha2 shifted by w.
+def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, planes: tuple) -> dict:
+    """The coupling of x^alpha1 shifted by v and x^alpha2 shifted by w.
 
-    ``v`` or ``w`` is None for a side that is not shifted. The result is
-    shared, so callers must not mutate it.
+    ``v`` or ``w`` is None for a side that is not shifted. The coupling is
+    bilinear, so it is the sum of ``_monomial_couple`` over the monomials of
+    the two shifts. The result is shared, so callers must not mutate it.
     """
-    return _star_couple(
-        _shift_monomial(alpha1, v) if v is not None else {alpha1: 1 + 0j},
-        _shift_monomial(alpha2, w) if w is not None else {alpha2: 1 + 0j},
-        theta_nz,
-    )
+    right = _shift_monomial(alpha2, w)
+    out = {}
+    for beta1, c1 in _shift_monomial(alpha1, v).items():
+        for beta2, c2 in right.items():
+            scale = c1 * c2
+            for alpha, c in _monomial_couple(beta1, beta2, planes).items():
+                out[alpha] = out.get(alpha, 0j) + scale * c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +470,22 @@ def _kernel_terms(terms: dict, s: SymplecticStructure, left: bool) -> list:
     holds (j, k_i Theta_ij) for the BCH phase of a left term, and ``on_grid``
     says every |k_mu| is below ``_K_LIMIT``, so wave sums need no re-quantising.
     """
-    nz = s._theta_nz
     out = []
     for (alpha, k), c in terms.items():
         wave = None
         if any(x != 0.0 for x in k):
             shift = [0.0] * s.D
-            if left:
-                # exponent -(1/2) k_mu Theta_{mu nu} d_nu on the right factor
-                for i, j, t in nz:
+            kt = ()
+            # Theta_ij = t and Theta_ji = -t, in the row-major order of Theta
+            for i, j, t in s._planes:
+                if left:
+                    # exponent -(1/2) k_mu Theta_{mu nu} d_nu on the right factor
                     shift[j] -= 0.5 * k[i] * t
-                kt = tuple((j, k[i] * t) for i, j, t in nz)
-            else:
-                for i, j, t in nz:
+                    shift[i] -= 0.5 * k[j] * -t
+                    kt += ((j, k[i] * t), (i, k[j] * -t))
+                else:
                     shift[i] -= 0.5 * t * k[j]
-                kt = None
+                    shift[j] -= 0.5 * -t * k[i]
             wave = (max(map(abs, k)) < _K_LIMIT, tuple(shift), kt)
         out.append((alpha, k, c, any(alpha), wave))
     return out
@@ -512,7 +493,7 @@ def _kernel_terms(terms: dict, s: SymplecticStructure, left: bool) -> list:
 
 def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
     """Accumulate the star products of all term pairs into one (alpha, k) -> c dict."""
-    nz = s._theta_nz
+    planes = s._planes
     right = _kernel_terms(b_terms, s, left=False)
     out = {}
     for alpha1, k1, c1, a1_any, wave1 in _kernel_terms(a_terms, s, left=True):
@@ -533,9 +514,9 @@ def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
             v = wave2[1] if wave2 and a1_any else None
             w = wave1[1] if wave1 and a2_any else None
             if v is None and w is None:
-                combined = _monomial_couple(alpha1, alpha2, nz)
+                combined = _monomial_couple(alpha1, alpha2, planes)
             else:
-                combined = _shifted_couple(alpha1, v, alpha2, w, nz)
+                combined = _shifted_couple(alpha1, v, alpha2, w, planes)
             for alpha, c in combined.items():
                 key = (alpha, kout)
                 out[key] = out.get(key, 0j) + coeff * c
@@ -621,6 +602,14 @@ def rel_distance(a: MoyalElement, b: MoyalElement) -> float:
     """||a - b|| relative to the larger operand norm (absolute when both tiny)."""
     scale = max(a.norm(), b.norm(), 1.0)
     return distance(a, b) / scale
+
+
+def _fold(pieces):
+    """Left-to-right sum of the pieces with ``+``; None when there are none."""
+    out = None
+    for piece in pieces:
+        out = piece if out is None else out + piece
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -167,19 +167,22 @@ def vertex_3g(cfg, k1, k2, k3, alpha, beta, gamma) -> complex:
     return -2j * _sin_half_wedge(cfg, k1, k2) * bracket
 
 
+def _quartic_sin_sum(cfg, k1, k2, k3, k4, a, b, c, d):
+    """The sin . sin skeleton shared by the quartic vertices, for indices a, b, c, d."""
+    sw = lambda x, y: _sin_half_wedge(cfg, x, y)
+    return (
+        ((a == c) * (b == d) - (a == d) * (b == c)) * sw(k1, k2) * sw(k3, k4)
+        + ((a == b) * (c == d) - (a == c) * (b == d)) * sw(k1, k4) * sw(k2, k3)
+        + ((a == d) * (b == c) - (a == b) * (c == d)) * sw(k3, k1) * sw(k2, k4)
+    )
+
+
 def vertex_4g(cfg, k1, k2, k3, k4, alpha, beta, gamma, delta) -> complex:
     """Four-gauge vertex."""
     k1, k2, k3, k4 = _complete(cfg, k1, k2, k3, k4)
     for idx in (alpha, beta, gamma, delta):
         cfg.structure.check_index(idx)
-    a, b, g, d = alpha - 1, beta - 1, gamma - 1, delta - 1
-    sw = lambda x, y: _sin_half_wedge(cfg, x, y)
-    val = (
-        ((a == g) * (b == d) - (a == d) * (b == g)) * sw(k1, k2) * sw(k3, k4)
-        + ((a == b) * (g == d) - (a == g) * (b == d)) * sw(k1, k4) * sw(k2, k3)
-        + ((a == d) * (b == g) - (a == b) * (g == d)) * sw(k3, k1) * sw(k2, k4)
-    )
-    return -4.0 * val
+    return -4.0 * _quartic_sin_sum(cfg, k1, k2, k3, k4, alpha, beta, gamma, delta)
 
 
 def vertex_ghost(cfg, k1, k2, k3, mu) -> complex:
@@ -221,13 +224,7 @@ def vertex_3h(cfg, k1, k2, k3, a, b, c, C) -> complex:
 def vertex_4h(cfg, k1, k2, k3, k4, a, b, c, d) -> complex:
     """Four-Higgs vertex."""
     k1, k2, k3, k4 = _complete(cfg, k1, k2, k3, k4)
-    sw = lambda x, y: _sin_half_wedge(cfg, x, y)
-    val = (
-        ((a == c) * (b == d) - (a == d) * (b == c)) * sw(k1, k2) * sw(k3, k4)
-        + ((a == b) * (c == d) - (a == c) * (b == d)) * sw(k1, k4) * sw(k2, k3)
-        + ((a == d) * (b == c) - (a == b) * (c == d)) * sw(k3, k1) * sw(k2, k4)
-    )
-    return 4.0 * val
+    return 4.0 * _quartic_sin_sum(cfg, k1, k2, k3, k4, a, b, c, d)
 
 
 # ---------------------------------------------------------------------------

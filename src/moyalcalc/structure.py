@@ -38,7 +38,7 @@ class SymplecticStructure:
     theta: float = 1.0
     Theta: np.ndarray = field(init=False, repr=False, compare=False)
     ThetaInv: np.ndarray = field(init=False, repr=False, compare=False)
-    _theta_nz: tuple = field(init=False, repr=False, compare=False)
+    _planes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.D < 2 or self.D % 2 != 0:
@@ -49,13 +49,10 @@ class SymplecticStructure:
         object.__setattr__(self, "Theta", self.theta * sigma)
         # Sigma^{-1} = -Sigma = Sigma^T for this block form
         object.__setattr__(self, "ThetaInv", -sigma / self.theta)
-        nz = tuple(
-            (i, j, float(self.Theta[i, j]))
-            for i in range(self.D)
-            for j in range(self.D)
-            if self.Theta[i, j] != 0.0
-        )
-        object.__setattr__(self, "_theta_nz", nz)
+        # (i, j, Theta_ij) for each 2-plane, i < j: the only nonzero entries
+        # are Theta_ij and Theta_ji = -Theta_ij
+        planes = tuple((i, i + 1, float(self.Theta[i, i + 1])) for i in range(0, self.D, 2))
+        object.__setattr__(self, "_planes", planes)
 
     def compatible(self, other: "SymplecticStructure") -> bool:
         return self.D == other.D and self.theta == other.theta

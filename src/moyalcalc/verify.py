@@ -26,6 +26,7 @@ from .derivations import (
 )
 from .elements import (
     MoyalElement,
+    _fold,
     commutator,
     coordinate,
     monomial,
@@ -68,25 +69,23 @@ def _dyadic(rng, lo=-2.0, hi=2.0):
     return float(rng.integers(int(lo * 4), int(hi * 4) + 1)) / 4.0
 
 
-def random_element(rng, s: SymplecticStructure, max_terms=4, max_degree=3) -> MoyalElement:
+def _random_terms(rng, s: SymplecticStructure, max_terms, max_degree, waves) -> MoyalElement:
     terms = {}
     for _ in range(int(rng.integers(1, max_terms + 1))):
         alpha = [0] * s.D
         for _j in range(int(rng.integers(0, max_degree + 1))):
             alpha[int(rng.integers(0, s.D))] += 1
-        k = tuple(_dyadic(rng) for _ in range(s.D))
+        k = tuple(_dyadic(rng) for _ in range(s.D)) if waves else (0.0,) * s.D
         terms[(tuple(alpha), k)] = complex(rng.normal(), rng.normal())
     return MoyalElement(s, terms)
 
 
+def random_element(rng, s: SymplecticStructure, max_terms=4, max_degree=3) -> MoyalElement:
+    return _random_terms(rng, s, max_terms, max_degree, waves=True)
+
+
 def random_polynomial(rng, s: SymplecticStructure, max_terms=4, max_degree=3) -> MoyalElement:
-    terms = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        alpha = [0] * s.D
-        for _j in range(int(rng.integers(0, max_degree + 1))):
-            alpha[int(rng.integers(0, s.D))] += 1
-        terms[(tuple(alpha), (0.0,) * s.D)] = complex(rng.normal(), rng.normal())
-    return MoyalElement(s, terms)
+    return _random_terms(rng, s, max_terms, max_degree, waves=False)
 
 
 # ---------------------------------------------------------------------------
@@ -119,59 +118,42 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
         w_inv = max(w_inv, rel_distance(star(aw, bw).dag(), star(bw.dag(), aw.dag())))
         for mu in range(1, D + 1):
             xmu = coordinate(s, mu)
-            grad = None
-            for nu in range(1, D + 1):
-                t = s.Theta[mu - 1, nu - 1]
-                if t != 0.0:
-                    piece = (1j * t) * partial(nu, a)
-                    grad = piece if grad is None else grad + piece
+            row = [(nu, t) for nu, t in enumerate(s.Theta[mu - 1], start=1) if t != 0.0]
+            grad = _fold((1j * t) * partial(nu, a) for nu, t in row)
             w_xcomm = max(w_xcomm, rel_distance(commutator(xmu, a), grad))
-            half = None
-            for nu in range(1, D + 1):
-                t = s.Theta[mu - 1, nu - 1]
-                if t != 0.0:
-                    piece = (0.5j * t) * partial(nu, a)
-                    half = piece if half is None else half + piece
+            half = _fold((0.5j * t) * partial(nu, a) for nu, t in row)
             w_xprod = max(w_xprod, rel_distance(star(xmu, a), pointwise(xmu, a) + half))
             mixed = star(pointwise(xmu, aw), bw)
-            for nu in range(1, D + 1):
-                t = s.Theta[mu - 1, nu - 1]
-                if t != 0.0:
-                    mixed = mixed - (0.5j * t) * star(aw, partial(nu, bw))
+            for nu, t in row:
+                mixed = mixed - (0.5j * t) * star(aw, partial(nu, bw))
             w_xmix = max(w_xmix, rel_distance(pointwise(xmu, star(aw, bw)), mixed))
         mu, nu = (int(rng.integers(1, D + 1)) for _ in range(2))
         xmu, xnu = coordinate(s, mu), coordinate(s, nu)
         xx = pointwise(xmu, xnu)
-        second = None
-        for al in range(1, D + 1):
-            for sg in range(1, D + 1):
-                t = s.Theta[mu - 1, al - 1] * s.Theta[nu - 1, sg - 1]
-                if t != 0.0:
-                    piece = (-0.25 * t) * partial(al, partial(sg, a))
-                    second = piece if second is None else second + piece
-        first = None
-        for be in range(1, D + 1):
-            t1 = s.Theta[nu - 1, be - 1]
-            t2 = s.Theta[mu - 1, be - 1]
-            piece = 0.5j * (t1 * pointwise(xmu, partial(be, a)) + t2 * pointwise(xnu, partial(be, a)))
-            first = piece if first is None else first + piece
+        second = _fold(
+            (-0.25 * t) * partial(al, partial(sg, a))
+            for al in range(1, D + 1)
+            for sg in range(1, D + 1)
+            if (t := s.Theta[mu - 1, al - 1] * s.Theta[nu - 1, sg - 1]) != 0.0
+        ) or MoyalElement(s, {})
+        first = _fold(
+            0.5j * (s.Theta[nu - 1, be - 1] * pointwise(xmu, partial(be, a))
+                    + s.Theta[mu - 1, be - 1] * pointwise(xnu, partial(be, a)))
+            for be in range(1, D + 1)
+        )
         base = pointwise(xx, a)
-        if second is None:
-            second = MoyalElement(s, {})
         w_quad = max(w_quad, rel_distance(star(xx, a), base + first + second))
         w_quad = max(w_quad, rel_distance(star(a, xx), base - first + second))
         rho = int(rng.integers(1, D + 1))
         xr = coordinate(s, rho)
         xxx = pointwise(xx, xr)
         lhs = commutator(xxx, a)
-        rhs = None
-        for be in range(1, D + 1):
-            t = (
-                s.Theta[nu - 1, be - 1] * pointwise(pointwise(xr, xmu), partial(be, a))
-                + s.Theta[mu - 1, be - 1] * pointwise(pointwise(xnu, xr), partial(be, a))
-                + s.Theta[rho - 1, be - 1] * pointwise(pointwise(xmu, xnu), partial(be, a))
-            )
-            rhs = (1j * t) if rhs is None else rhs + 1j * t
+        rhs = _fold(
+            1j * (s.Theta[nu - 1, be - 1] * pointwise(pointwise(xr, xmu), partial(be, a))
+                  + s.Theta[mu - 1, be - 1] * pointwise(pointwise(xnu, xr), partial(be, a))
+                  + s.Theta[rho - 1, be - 1] * pointwise(pointwise(xmu, xnu), partial(be, a)))
+            for be in range(1, D + 1)
+        )
         for al in range(1, D + 1):
             for sg in range(1, D + 1):
                 for lam in range(1, D + 1):

@@ -39,9 +39,12 @@ def test_star_non_finite_wave_exits_2(left, right, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("left, right", [("1e308", "1e308"), ("1e200*x1", "1e200*x2")])
+@pytest.mark.parametrize(
+    "left, right", [("1e308", "1e308"), ("1e200*x1", "1e200*x2"), ("x2^200", "x1^200")]
+)
 def test_star_overflowing_coefficients_exit_2(left, right, capsys):
-    # finite inputs whose product coefficients overflow to inf
+    # finite inputs whose product coefficients overflow to inf; the exact
+    # coupling of x2^200 * x1^200 exceeds the float range
     code, out, err = run_cli(["star", "--dim", "2", left, right], capsys)
     assert code == 2
     assert err == "error: coefficients must be finite\n"

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from moyalcalc import (
     xi,
 )
 from moyalcalc.cli import main
-from moyalcalc.elements import _shift_monomial, _shifted_couple
+from moyalcalc.elements import PRUNE_REL, _monomial_couple, _shift_monomial, _shifted_couple
 from moyalcalc.verify import random_element
 
 S2 = SymplecticStructure(2, 1.0)
@@ -246,6 +249,107 @@ def test_closed_form_shift_matches_expansion(theta, ulps):
             assert got.keys() == want.keys()
             for key, c in want.items():
                 assert abs(got[key] - c) <= ulps * np.finfo(float).eps * abs(c)
+
+
+def _exact_shift(alpha, v):
+    """(x + v)^alpha in exact arithmetic, v taken as the exact value of its floats."""
+    poly = {(): Fraction(1)}
+    for a, vx in zip(alpha, v):
+        vx = Fraction(vx)
+        poly = {
+            key + (j,): c * comb(a, j) * vx ** (a - j)
+            for key, c in poly.items()
+            for j in range(a + 1)
+        }
+    return poly
+
+
+def _exact_couple(p, q, s):
+    """exp(i/2 Theta^{mu nu} d_mu (x) d_nu) on p (x) q, multiplied out, in exact arithmetic.
+
+    Expanded order by order over the nonzero entries of Theta with no use of
+    its block form: order n adds (i/2)^n / n! L^n, L = Theta^{mu nu} d_mu (x) d_nu.
+    Returns exponents -> complex of the correctly rounded parts, exact zeros dropped.
+    """
+    entries = [
+        (mu, nu, Fraction(float(t))) for (mu, nu), t in np.ndenumerate(s.Theta) if t != 0.0
+    ]
+    layer = {(b1, b2): c1 * c2 for b1, c1 in p.items() for b2, c2 in q.items()}
+    parts = {}
+    n = 0
+    while layer:
+        weight = Fraction((-1) ** (n // 2), 2**n * factorial(n))  # (i/2)^n / n! = weight i^(n % 2)
+        for (b1, b2), c in layer.items():
+            key = tuple(x + y for x, y in zip(b1, b2))
+            re, im = parts.get(key, (0, 0))
+            parts[key] = (re, im + weight * c) if n % 2 else (re + weight * c, im)
+        nxt = {}
+        for (b1, b2), c in layer.items():
+            for mu, nu, t in entries:
+                if b1[mu] and b2[nu]:
+                    key = (
+                        b1[:mu] + (b1[mu] - 1,) + b1[mu + 1 :],
+                        b2[:nu] + (b2[nu] - 1,) + b2[nu + 1 :],
+                    )
+                    nxt[key] = nxt.get(key, 0) + c * t * b1[mu] * b2[nu]
+        layer = {key: c for key, c in nxt.items() if c}
+        n += 1
+    return {key: complex(float(re), float(im)) for key, (re, im) in parts.items() if re or im}
+
+
+def _coupling_cases(D, theta, seed):
+    """Seeded small-degree pairs with dyadic wave vectors, as (alpha1, v, alpha2, w)."""
+    rng = np.random.default_rng(seed)
+    s = SymplecticStructure(D, theta)
+    top = 4 if D == 2 else 2
+    for _ in range(40):
+        alpha1, alpha2 = (tuple(int(a) for a in rng.integers(0, top + 1, size=D)) for _ in range(2))
+        k1, k2 = (rng.integers(-8, 9, size=D) / 4.0 for _ in range(2))
+        v = tuple(float(x) for x in -0.5 * (s.Theta @ k2))
+        w = tuple(float(x) for x in 0.5 * (s.Theta @ k1))
+        yield s, alpha1, v, alpha2, w
+
+
+@pytest.mark.parametrize("D", [2, 4])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 0.3])
+def test_monomial_coupling_is_correctly_rounded(D, theta):
+    # each coefficient is rounded once from exact integers, so it is the exact
+    # value at dyadic theta and the correctly rounded one otherwise
+    for s, alpha1, _v, alpha2, _w in _coupling_cases(D, theta, seed=D):
+        want = _exact_couple({alpha1: Fraction(1)}, {alpha2: Fraction(1)}, s)
+        assert _monomial_couple(alpha1, alpha2, s._planes) == want
+
+
+@pytest.mark.parametrize("D", [2, 4])
+@pytest.mark.parametrize("theta, ulps", [(0.5, 0), (1.0, 0), (2.0, 0), (0.3, 4)])
+def test_shifted_coupling_matches_exact_expansion(D, theta, ulps):
+    for s, alpha1, v, alpha2, w in _coupling_cases(D, theta, seed=10 + D):
+        want = _exact_couple(_exact_shift(alpha1, v), _exact_shift(alpha2, w), s)
+        got = _shifted_couple(alpha1, v, alpha2, w, s._planes)
+        top = max(map(abs, want.values()), default=0.0)
+        for key in got.keys() | want.keys():
+            err = abs(got.get(key, 0j) - want.get(key, 0j))
+            assert err <= ulps * np.finfo(float).eps * top
+
+
+def test_high_degree_coupling_is_exact_and_finite():
+    # the exact coefficients of x2^100 * x1^100 peak near 6.9e137; 35 of the 101
+    # lie above the relative prune
+    a, b = monomial(S2, (0, 100)), monomial(S2, (100, 0))
+    want = _exact_couple({(0, 100): Fraction(1)}, {(100, 0): Fraction(1)}, S2)
+    top = max(map(abs, want.values()))
+    kept = {(key, (0.0, 0.0)): c for key, c in want.items() if abs(c) > PRUNE_REL * top}
+    got = star(a, b)
+    assert len(got.terms) == 35
+    assert got.terms == kept
+
+
+def test_degree_twenty_pair_is_exact():
+    a = monomial(S2, (20, 20))
+    want = _exact_couple({(20, 20): Fraction(1)}, {(20, 20): Fraction(1)}, S2)
+    top = max(map(abs, want.values()))
+    kept = {(key, (0.0, 0.0)): c for key, c in want.items() if abs(c) > PRUNE_REL * top}
+    assert star(a, a).terms == kept
 
 
 @pytest.mark.parametrize(
