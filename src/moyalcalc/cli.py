@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: verify, star, curvature, graded, oneloop, bessel-check.
-Exit status: 0 all checks pass, 1 a numerical check failed, 2 input error.
+Exit status: 0 all checks pass, 1 a numerical check failed, 2 input error
+(a bad flag, expression or config, or a file that cannot be read or written).
 Every run is deterministic under a fixed seed; reports start with the
 convention sheet so published numbers are unambiguous.
 """
@@ -20,7 +21,7 @@ from .connections import (
     curvature,
     curvature_generic,
 )
-from .expressions import ExpressionError, format_element, parse_expression
+from .expressions import format_element, parse_expression
 from .gauge import max_residual
 from .oneloop import LoopConfig, bessel_m, ir_coefficient, ir_target, ir_unit
 from .structure import SymplecticStructure
@@ -33,10 +34,6 @@ CONVENTIONS = (
     "# wedge(p,k) = p_mu Theta_{mu nu} k_nu ; ptilde_mu = Theta_{mu nu} p_nu\n"
     "# partial_mu = [i xi_mu, .] with xi_mu = -ThetaInv_{mu nu} x_nu"
 )
-
-
-class InputError(Exception):
-    pass
 
 
 def _add_common(p):
@@ -53,21 +50,19 @@ def _effective(args, cfg=None):
     if cfg is not None:
         if "D" in cfg:
             if D is not None and int(cfg["D"]) != D:
-                raise InputError(f"config D={cfg['D']} conflicts with --dim {D}")
+                raise ValueError(f"config D={cfg['D']} conflicts with --dim {D}")
             D = int(cfg["D"])
         if "theta" in cfg:
             cfg_theta = float(cfg["theta"])
             if theta is not None and cfg_theta != theta:
-                raise InputError(
-                    f"config theta={cfg_theta} conflicts with --theta {theta}"
-                )
+                raise ValueError(f"config theta={cfg_theta} conflicts with --theta {theta}")
             theta = cfg_theta
     D = 2 if D is None else D
     theta = 1.0 if theta is None else theta
     if D < 2 or D % 2:
-        raise InputError("D must be a positive even integer")
+        raise ValueError("D must be a positive even integer")
     if theta <= 0:
-        raise InputError("theta must be positive")
+        raise ValueError("theta must be positive")
     return D, theta
 
 
@@ -120,10 +115,7 @@ def _build_parser():
 def _report_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else None
     D, theta = _effective(args, cfg)
-    try:
-        checks = run_suites(args.scope, D, theta, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    checks = run_suites(args.scope, D, theta, args.seed)
     print(CONVENTIONS)
     print(f"# scope={args.scope} D={D} theta={theta} seed={args.seed}")
     width = max(len(c.name) for _s, c in checks)
@@ -139,11 +131,8 @@ def _report_verify(args) -> int:
 def _report_star(args) -> int:
     D, theta = _effective(args)
     s = SymplecticStructure(D, theta)
-    try:
-        a = parse_expression(args.left, s)
-        b = parse_expression(args.right, s)
-    except ExpressionError as exc:
-        raise InputError(str(exc)) from exc
+    a = parse_expression(args.left, s)
+    b = parse_expression(args.right, s)
     from .elements import star
 
     product = star(a, b)
@@ -157,9 +146,9 @@ def _load_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise InputError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return cfg
 
 
@@ -176,10 +165,7 @@ def _report_table(args, overrides, build, closed, generic, row) -> int:
     for key in overrides:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    try:
-        A = build(cfg, parse=parse_expression)
-    except (ValueError, ExpressionError) as exc:
-        raise InputError(str(exc)) from exc
+    A = build(cfg, parse=parse_expression)
     F = closed(A)
     dual = max_residual(F, generic(A))
     tol = args.tol if args.tol is not None else 1e-11
@@ -219,15 +205,12 @@ def _report_graded(args) -> int:
 def _report_oneloop(args) -> int:
     D, theta = _effective(args)
     if not (0 < args.p_min < args.p_max):
-        raise InputError("need 0 < p-min < p-max")
+        raise ValueError("need 0 < p-min < p-max")
     if args.p_min < 1e-2 - 1e-12 or args.p_max > 1e-1 + 1e-12:
-        raise InputError("the supported fit window is [1e-2, 1e-1] in |ptilde|")
+        raise ValueError("the supported fit window is [1e-2, 1e-1] in |ptilde|")
     if args.n_points < 4:
-        raise InputError("need at least 4 fit points")
-    try:
-        cfg = LoopConfig(D=D, theta=theta, n_higgs=args.n_higgs, mu_mass=args.mu)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError("need at least 4 fit points")
+    cfg = LoopConfig(D=D, theta=theta, n_higgs=args.n_higgs, mu_mass=args.mu)
     pts = np.geomspace(args.p_min, args.p_max, args.n_points)
     p_values = []
     for x in pts:
@@ -238,6 +221,14 @@ def _report_oneloop(args) -> int:
     target = ir_target(cfg.D, cfg.n_higgs)
     rel = abs(res.value - target) / max(abs(target), ir_unit(cfg.D))
     tol = args.tol if args.tol is not None else 0.02
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write("ptilde_norm,c_fit,residual,D,N,mu,theta\n")
+            for pt, y, _err in res.extras["points"]:
+                fh.write(
+                    f"{pt!r},{res.value!r},{y - res.value!r},"
+                    f"{cfg.D},{cfg.n_higgs},{cfg.mu_mass!r},{cfg.theta!r}\n"
+                )
     print(CONVENTIONS)
     print(
         f"# D={cfg.D} N={cfg.n_higgs} mu={cfg.mu_mass} theta={cfg.theta} "
@@ -248,14 +239,6 @@ def _report_oneloop(args) -> int:
         f"(rel dev {rel:.3%}, fit residual {res.abs_error:.2e}) -> "
         f"{'pass' if rel <= tol else 'FAIL'} at {tol:.1%}"
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("ptilde_norm,c_fit,residual,D,N,mu,theta\n")
-            for pt, y, _err in res.extras["points"]:
-                fh.write(
-                    f"{pt!r},{res.value!r},{y - res.value!r},"
-                    f"{cfg.D},{cfg.n_higgs},{cfg.mu_mass!r},{cfg.theta!r}\n"
-                )
     return 0 if rel <= tol else 1
 
 
@@ -317,10 +300,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,8 +31,8 @@ Gauge transformations follow the g^dag ... g convention throughout:
 A^g(X) = g^dag A(X) g + i g^dag [eta(X), g], which makes the covariant
 coordinates and every curvature entry transform homogeneously.
 
-The generic path, the canonical curvature, the dual-path residual, unitary
-conjugation, component filling and config loading are the scaffold in
+The generic path, the canonical curvature, the dual-path residual, the gauge
+action, component filling and config loading are the scaffold in
 ``gauge``, shared with the graded connections.  The closed forms above stay
 here: they are the independent path of the dual-path check.
 """
@@ -133,15 +133,13 @@ def covariant_coordinates(A: ConnectionForm) -> CovariantCoordinates:
     return CovariantCoordinates(A.structure, vals)
 
 
-def canonical_connection(A_or_s, X: DerivationGenerator, a: MoyalElement) -> MoyalElement:
-    """Gauge-invariant canonical connection: nabla^inv_X(a) = -a * eta(X)."""
-    if isinstance(A_or_s, ConnectionForm):
-        if X.name not in A_or_s.components:
-            raise ValueError(f"generator {X.name} is not in the {A_or_s.basis} basis")
-        mu_scale = A_or_s.mu_scale
-    else:
-        mu_scale = 1.0
-    return -star(a, eta_rescaled(X, mu_scale))
+def canonical_connection(
+    A: ConnectionForm, X: DerivationGenerator, a: MoyalElement
+) -> MoyalElement:
+    """Gauge-invariant nabla^inv_X(a) = -a * eta_rescaled(X, A.mu_scale); X in A's basis."""
+    if X.name not in A.components:
+        raise ValueError(f"generator {X.name} is not in the {A.basis} basis")
+    return -star(a, eta_rescaled(X, A.mu_scale))
 
 
 @dataclass(frozen=True)
@@ -170,23 +168,8 @@ class CurvatureTable:
         return gauge.max_residual(self.entries, other.entries)
 
 
-def curvature(A: ConnectionForm, check_tol: float = None) -> CurvatureTable:
-    """Closed-form curvature table over all generator pairs.
-
-    With ``check_tol`` set, the generic bracket evaluation is run as well and
-    a disagreement beyond the tolerance raises.
-    """
-    table = _curvature_closed(A)
-    if check_tol is not None:
-        gap = table.max_distance(curvature_generic(A))
-        if gap > check_tol:
-            raise AssertionError(
-                f"dual-path curvature residual {gap:.3e} exceeds {check_tol:.0e}"
-            )
-    return table
-
-
-def _curvature_closed(A: ConnectionForm) -> CurvatureTable:
+def curvature(A: ConnectionForm) -> CurvatureTable:
+    """Closed-form curvature over all generator pairs; one side of the dual-path check."""
     s = A.structure
     cov = covariant_coordinates(A)
     mt = A.mu_scale * s.theta
@@ -218,11 +201,7 @@ def _curvature_closed(A: ConnectionForm) -> CurvatureTable:
 def _bracket_rescaled(X, Y, mu_scale):
     """Decomposition of [eta^resc(X), eta^resc(Y)] in the rescaled basis."""
     val = commutator(eta_rescaled(X, mu_scale), eta_rescaled(Y, mu_scale))
-    return decompose_eta_combination(
-        val,
-        scale_partial=1.0,
-        scale_sym=mu_scale * X.structure.theta,
-    )
+    return decompose_eta_combination(val, scale_sym=mu_scale * X.structure.theta)
 
 
 def curvature_generic(A: ConnectionForm) -> CurvatureTable:
@@ -265,11 +244,10 @@ def covariant_derivative(
 
 def gauge_transform(A: ConnectionForm, g: MoyalElement, tol: float = 1e-10) -> ConnectionForm:
     """A^g(X) = g^dag A(X) g + i g^dag [eta(X), g] for unitary g."""
-    gd, conj = gauge.unitary_conjugation(g, tol, "gauge transformations require a unitary element")
+    act = gauge.unitary_action(g, tol, "gauge transformations require a unitary element")
     comps = {}
     for X in A.generators():
-        inhom = 1j * star(gd, commutator(eta_rescaled(X, A.mu_scale), g))
-        comps[X.name] = conj(A.component(X)) + inhom
+        comps[X.name] = act(A.component(X), commutator(eta_rescaled(X, A.mu_scale), g))
     return replace(A, components=comps)
 
 

@@ -169,20 +169,20 @@ class BracketDecomposition:
 
 
 def decompose_eta_combination(
-    value: MoyalElement, scale_partial: complex = 1.0, scale_sym: complex = 1.0
+    value: MoyalElement, scale_sym: complex = 1.0
 ) -> BracketDecomposition:
     """Write a polynomial of degree <= 2 as central + combination of eta values.
 
-    ``scale_partial`` and ``scale_sym`` rescale the basis eta values
-    (eta_mu -> scale_partial * eta_mu and likewise for the quadratic sector),
-    which the connection module uses for the mu*theta rescaled calculus.
+    ``scale_sym`` rescales the quadratic basis values eta_(mu nu) ->
+    scale_sym * eta_(mu nu), which the connection module uses for the
+    mu*theta rescaled calculus; the linear basis values eta_mu are not scaled.
     """
     s = value.structure
     if not value.is_polynomial() or value.degree() > 2:
         raise ValueError("decomposition needs a polynomial of degree <= 2")
     central = value.constant_part()
 
-    # linear sector: value_mu x_mu = sum_b b_nu (scale_partial * eta_nu)
+    # linear sector: value_mu x_mu = sum_b b_nu eta_nu
     lin = np.zeros(s.D, dtype=complex)
     for (alpha, _k), c in value.terms.items():
         if sum(alpha) == 1:
@@ -190,7 +190,7 @@ def decompose_eta_combination(
     gens = []
     if np.any(lin != 0):
         # eta_mu = -i ThetaInv[mu, nu] x_nu ; columns are basis vectors
-        M = (-1j * scale_partial) * np.asarray(s.ThetaInv, dtype=complex).T
+        M = -1j * np.asarray(s.ThetaInv, dtype=complex).T
         b = np.linalg.solve(M, lin)
         for mu in range(1, s.D + 1):
             if abs(b[mu - 1]) > 1e-13 * max(1.0, float(np.max(np.abs(b)))):

@@ -169,6 +169,8 @@ class MoyalElement:
                 raise ValueError(
                     f"term key of length {len(alpha)}/{len(k)} does not match D={structure.D}"
                 )
+            if min(alpha) < 0:
+                raise ValueError("monomial exponents must be nonnegative")
             c = complex(c)
             if c != 0:
                 key = (alpha, k)

@@ -6,7 +6,8 @@ curvature [cov X, cov Y] - cov([X, Y]) + (eta([X, Y]) - [eta X, eta Y]) and
 the central canonical curvature from a bracket decomposition of
 [eta X, eta Y], whose central part gives the last parenthesis.  The
 algebra-specific pieces are passed in.  Each closed-form curvature stays in
-its own module as the independent path of the dual-path check.
+its own module as the independent path of the dual-path check.  A unitary g
+acts on both as A^g(X) = g^dag A(X) g + i g^dag X(g) (``unitary_action``).
 """
 
 from __future__ import annotations
@@ -58,12 +59,20 @@ def fill_components(given: dict, names, s: SymplecticStructure, unknown: str) ->
     return out
 
 
-def unitary_conjugation(g: MoyalElement, tol: float, message: str):
-    """(g^dag, a -> g^dag a g); a ``g`` that is not unitary raises ``message``."""
+def unitary_action(g: MoyalElement, tol: float, message: str):
+    """The gauge action (a, X(g)) -> g^dag a g + i g^dag X(g) of a unitary ``g``.
+
+    Without X(g) it is plain conjugation; a ``g`` that is not unitary raises ``message``.
+    """
     if not is_unitary(g, tol):
         raise ValueError(message)
     gd = g.dag()
-    return gd, lambda a: star(star(gd, a), g)
+
+    def act(a, xg=None):
+        out = star(star(gd, a), g)
+        return out if xg is None else out + 1j * star(gd, xg)
+
+    return act
 
 
 def structure_from_config(cfg: dict, kind: str) -> SymplecticStructure:

@@ -30,8 +30,8 @@ enter only the assembled action density (the potential coefficients
 -8/(m theta) and 16/(m theta)^2), not the curvature table, which follows the
 unrescaled generator convention.
 
-The generic formula, the canonical curvature, the dual-path residual, unitary
-conjugation, component filling and config loading are the scaffold in
+The generic formula, the canonical curvature, the dual-path residual, the gauge
+action, component filling and config loading are the scaffold in
 ``gauge``, shared with the ungraded connections.  The closed component forms
 stay here: they are the independent path of the dual-path check.
 """
@@ -483,26 +483,26 @@ def graded_gauge_transform(
 ) -> GradedConnectionForm:
     """Degree-0 unitary gauge transformation.
 
-    A^g(X) = g^dag A(X) g + i g^dag [eta(X), g]; phi transforms homogeneously
-    because [J-type eta, g] vanishes on degree-0 g.
+    A^g(X) = g^dag A(X) g + i g^dag X(g), with X(g) = partial_m g for T_m and
+    U_m and [eta_(mn), g] for M_mn; phi transforms homogeneously because
+    [J-type eta, g] vanishes on degree-0 g.
     """
     if not g.odd.is_zero(tol):
         raise ValueError("graded gauge elements must have degree 0")
     g0 = g.even
-    gd, conj = gauge.unitary_conjugation(
-        g0, tol, "gauge transformations require a unitary even part"
-    )
+    act = gauge.unitary_action(g0, tol, "gauge transformations require a unitary even part")
     s = A.structure
     A0, A1, G0 = {}, {}, {}
     for m in range(1, s.D + 1):
-        A0[f"d{m}"] = conj(A.A0[f"d{m}"]) + 1j * star(gd, partial(m, g0))
-        A1[f"d{m}"] = conj(A.A1[f"d{m}"]) + 1j * star(gd, partial(m, g0))
+        # the exact derivative, not the commutator [eta_m, g0], which can be
+        # an ulp off at non-dyadic theta
+        dg = partial(m, g0)
+        A0[f"d{m}"] = act(A.A0[f"d{m}"], dg)
+        A1[f"d{m}"] = act(A.A1[f"d{m}"], dg)
         for n in range(m, s.D + 1):
             emn = eta(sym_generator(s, m, n))
-            G0[f"X{m}{n}"] = conj(A.G0[f"X{m}{n}"]) + 1j * star(
-                gd, commutator(emn, g0)
-            )
-    return replace(A, A0=A0, A1=A1, G0=G0, phi=conj(A.phi))
+            G0[f"X{m}{n}"] = act(A.G0[f"X{m}{n}"], commutator(emn, g0))
+    return replace(A, A0=A0, A1=A1, G0=G0, phi=act(A.phi))
 
 
 def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):

@@ -314,14 +314,13 @@ def verify_derivations(D: int, theta: float, seed: int, n_random: int = 40) -> l
 # ---------------------------------------------------------------------------
 
 def random_connection(
-    rng, s: SymplecticStructure, basis="G2", mu_scale=None, max_terms=2, max_degree=2
+    rng, s: SymplecticStructure, max_terms=2, max_degree=2
 ) -> conn.ConnectionForm:
-    if mu_scale is None:
-        mu_scale = float(rng.uniform(0.5, 2.0))
+    mu_scale = float(rng.uniform(0.5, 2.0))
     comps = {}
-    for X in conn.ConnectionForm(s, basis).generators():
+    for X in g2_basis(s):
         comps[X.name] = random_element(rng, s, max_terms=max_terms, max_degree=max_degree)
-    return conn.ConnectionForm(s, basis, comps, mu_scale=mu_scale)
+    return conn.ConnectionForm(s, "G2", comps, mu_scale=mu_scale)
 
 
 def random_gauge(rng, s: SymplecticStructure):

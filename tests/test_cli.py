@@ -204,6 +204,22 @@ def test_missing_config_exits_2(capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize("command", ["curvature", "oneloop"])
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    # the write comes before any report line, so a failed write prints no verdict
+    out_path = tmp_path / "missing" / "out.txt"
+    if command == "curvature":
+        cfg = tmp_path / "conn.json"
+        cfg.write_text(json.dumps({"D": 2, "components": {"d1": "x1"}}))
+        args = ["curvature", "--config", str(cfg)]
+    else:
+        args = ["oneloop", "--dim", "2", "--n-points", "4"]
+    code, out, err = run_cli([*args, "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_byte_identical_reruns(tmp_path):
     """Identical invocations produce byte-identical outputs."""
     cmd = [

@@ -385,6 +385,15 @@ def test_non_finite_wave_vectors_raise():
         star(w1, w2)
 
 
+def test_negative_exponents_raise():
+    # the kernel and the printer assume nonnegative exponents: with x1^-1 in,
+    # x1^-1 * x2 and x2 * x1^-1 both star to 0, and x1^-2 x2 prints as x2
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        MoyalElement(S2, {((-2, 1), (0.0, 0.0)): 1.0})
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        load_element("1.0 0.0 | -1 0 | 0.0 0.0\n", S2)
+
+
 def test_non_finite_coefficients_raise():
     # a NaN that is not the first term is skipped by max() and dropped by the
     # cutoff test, so the check must not depend on term order

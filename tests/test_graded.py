@@ -238,6 +238,21 @@ def test_graded_gauge_examples():
         graded_gauge_transform(A, GradedElement(2.0 * unit(S2), zero_moyal()))
 
 
+def test_graded_gauge_transform_exact_pure_gauge():
+    # the pure gauge of a plane wave W[k] is A0_m = A1_m = -k_m times the unit,
+    # exactly: T and U take the exact derivative partial_m g, whereas the
+    # commutator [eta_m, g] rounds 1/theta and is an ulp off at theta 0.3
+    s = SymplecticStructure(2, 0.3)
+    k = (1.75, 0.5)
+    g = GradedElement(plane_wave(s, k), MoyalElement(s, {}))
+    Ag = graded_gauge_transform(GradedConnectionForm(s), g)
+    for m in (1, 2):
+        expect = {((0, 0), (0.0, 0.0)): complex(-k[m - 1])}
+        assert Ag.A0[f"d{m}"].terms == expect
+        assert Ag.A1[f"d{m}"].terms == expect
+    assert Ag.phi.is_zero()
+
+
 def test_covariant_coordinates_marker():
     A = connection_with(phi=0.7 * unit(S2))
     cal = graded_covariant_coordinates(A)

@@ -1,0 +1,33 @@
+"""The benchmark tracer's contract with the package.
+
+``bench/spans.py`` wraps package functions by module and name, and wraps
+``quad`` through ``moyalcalc.oneloop.integrate``. A rename, or a module that
+the CLI no longer imports eagerly, breaks ``bench/run.py --trace 1``; this
+test makes such a change fail here instead.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import moyalcalc.cli  # noqa: F401  (loads every module the tracer wraps)
+from moyalcalc import connections, oneloop
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_tracer_install_rebinds_and_uninstall_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    curvature, integrate = connections.curvature, oneloop.integrate
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert connections.curvature is not curvature
+        assert connections.curvature.__wrapped__ is curvature
+        assert oneloop.integrate is not integrate
+    finally:
+        tracer.uninstall()
+    assert connections.curvature is curvature
+    assert oneloop.integrate is integrate
