@@ -36,34 +36,28 @@ CONVENTIONS = (
 )
 
 
-def _add_common(p):
+def _add_structure(p, tol=None):
+    """--dim and --theta, plus --tol when the report has a ``tol`` default."""
     p.add_argument("--dim", type=int, default=None, help="even dimension D")
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=None)
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol)
 
 
 def _effective(args, cfg=None):
-    """Resolve D and theta from flags and an optional config mapping."""
-    D = args.dim
-    theta = args.theta
-    if cfg is not None:
-        if "D" in cfg:
-            if D is not None and int(cfg["D"]) != D:
-                raise ValueError(f"config D={cfg['D']} conflicts with --dim {D}")
-            D = int(cfg["D"])
-        if "theta" in cfg:
-            cfg_theta = float(cfg["theta"])
-            if theta is not None and cfg_theta != theta:
-                raise ValueError(f"config theta={cfg_theta} conflicts with --theta {theta}")
-            theta = cfg_theta
-    D = 2 if D is None else D
-    theta = 1.0 if theta is None else theta
-    if D < 2 or D % 2:
-        raise ValueError("D must be a positive even integer")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    return D, theta
+    """D and theta from the flags, the config, or the defaults 2 and 1.0.
+
+    A flag that contradicts the config raises; the structure checks the values.
+    """
+    out = []
+    for key, flag, cast, default in (("D", "dim", int, 2), ("theta", "theta", float, 1.0)):
+        val = getattr(args, flag)
+        if cfg and key in cfg:
+            if val is not None and cast(cfg[key]) != val:
+                raise ValueError(f"config {key}={cast(cfg[key])} conflicts with --{flag} {val}")
+            val = cast(cfg[key])
+        out.append(default if val is None else val)
+    return tuple(out)
 
 
 def _build_parser():
@@ -71,7 +65,8 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the identity suites")
-    _add_common(p)
+    _add_structure(p)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--scope",
         default="all",
@@ -80,26 +75,23 @@ def _build_parser():
     p.add_argument("--config", default=None, help="optional D/theta config file")
 
     p = sub.add_parser("star", help="star-multiply two expressions")
-    _add_common(p)
+    _add_structure(p)
     p.add_argument("left")
     p.add_argument("right")
 
     p = sub.add_parser("curvature", help="curvature table from a config file")
-    _add_common(p)
+    _add_structure(p, tol=1e-11)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--mu", type=float, default=None, help="override the mu scale")
-    p.add_argument("--alpha", type=float, default=None, help="override the coupling")
 
     p = sub.add_parser("graded", help="graded curvature table from a config file")
-    _add_common(p)
+    _add_structure(p, tol=1e-11)
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--m", type=float, default=None, help="override the m scale")
-    p.add_argument("--mu", type=float, default=None, help="override the mu scale")
 
     p = sub.add_parser("oneloop", help="fit the vacuum-polarisation IR coefficient")
-    _add_common(p)
+    _add_structure(p, tol=0.02)
     p.add_argument("--mu", type=float, default=1.0, help="Higgs propagator mass")
     p.add_argument("--n-higgs", type=int, default=None)
     p.add_argument("--p-min", type=float, default=1e-2, help="smallest |ptilde|")
@@ -108,7 +100,7 @@ def _build_parser():
     p.add_argument("--out", default=None, help="CSV output path")
 
     p = sub.add_parser("bessel-check", help="verify the Bessel master integrals")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=1)
     return ap
 
 
@@ -152,24 +144,23 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _report_table(args, overrides, build, closed, generic, row) -> int:
+def _report_table(args, build, closed, generic, row) -> int:
     """Curvature table of the connection in ``args.config`` with its dual-path residual.
 
-    ``overrides`` names the flags that replace config keys of the same name,
-    ``build`` makes the connection from the config, ``closed`` and ``generic``
-    give the two curvature paths as entry dicts and ``row`` formats an entry.
+    ``build`` makes the connection from the config (``--mu``, where the
+    subcommand has it, replaces the config's ``mu``), ``closed`` and
+    ``generic`` give the two curvature paths as entry dicts and ``row``
+    formats an entry.
     """
     cfg = _load_config(args.config)
     D, theta = _effective(args, cfg)
     cfg = {**cfg, "D": D, "theta": theta}
-    for key in overrides:
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+    if getattr(args, "mu", None) is not None:
+        cfg["mu"] = args.mu
     A = build(cfg, parse=parse_expression)
     F = closed(A)
     dual = max_residual(F, generic(A))
-    tol = args.tol if args.tol is not None else 1e-11
-    lines = [CONVENTIONS, f"# dual-path residual {dual:.3e} (tol {tol:.0e})"]
+    lines = [CONVENTIONS, f"# dual-path residual {dual:.3e} (tol {args.tol:.0e})"]
     for (n1, n2), val in F.items():
         lines.append(f"F({n1},{n2}) = {row(val)}")
     text = "\n".join(lines) + "\n"
@@ -177,13 +168,12 @@ def _report_table(args, overrides, build, closed, generic, row) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     print(text, end="")
-    return 0 if dual <= tol else 1
+    return 0 if dual <= args.tol else 1
 
 
 def _report_curvature(args) -> int:
     return _report_table(
         args,
-        ("mu", "alpha"),
         connection_from_config,
         lambda A: curvature(A).entries,
         lambda A: curvature_generic(A).entries,
@@ -194,7 +184,6 @@ def _report_curvature(args) -> int:
 def _report_graded(args) -> int:
     return _report_table(
         args,
-        ("m", "mu"),
         gr.graded_connection_from_config,
         gr.graded_curvature,
         gr.graded_curvature_generic,
@@ -220,7 +209,7 @@ def _report_oneloop(args) -> int:
     res = ir_coefficient(cfg, p_values)
     target = ir_target(cfg.D, cfg.n_higgs)
     rel = abs(res.value - target) / max(abs(target), ir_unit(cfg.D))
-    tol = args.tol if args.tol is not None else 0.02
+    ok = rel <= args.tol
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write("ptilde_norm,c_fit,residual,D,N,mu,theta\n")
@@ -237,9 +226,9 @@ def _report_oneloop(args) -> int:
     print(
         f"target {target:.6f}, fitted {res.value:.6f} "
         f"(rel dev {rel:.3%}, fit residual {res.abs_error:.2e}) -> "
-        f"{'pass' if rel <= tol else 'FAIL'} at {tol:.1%}"
+        f"{'pass' if ok else 'FAIL'} at {args.tol:.1%}"
     )
-    return 0 if rel <= tol else 1
+    return 0 if ok else 1
 
 
 def _report_bessel(args) -> int:

@@ -28,8 +28,9 @@ generic formula together with the rescaled bracket
 [eta_mu, eta_(rs)] = mu_scale*theta*(ThetaInv_{mr} eta_s + ThetaInv_{ms} eta_r).
 
 Gauge transformations follow the g^dag ... g convention throughout:
-A^g(X) = g^dag A(X) g + i g^dag [eta(X), g], which makes the covariant
-coordinates and every curvature entry transform homogeneously.
+A^g(X) = g^dag A(X) g + i g^dag X(g), X(g) = [eta(X), g] (partial_mu g for
+d_mu), which makes the covariant coordinates and every curvature entry
+transform homogeneously.
 
 The generic path, the canonical curvature, the dual-path residual, the gauge
 action, component filling and config loading are the scaffold in
@@ -51,7 +52,7 @@ from .derivations import (
     partial_generator,
     sym_generator,
 )
-from .elements import MoyalElement, commutator, star, unit
+from .elements import MoyalElement, commutator, partial, star, unit
 from .structure import SymplecticStructure
 
 __all__ = [
@@ -243,11 +244,17 @@ def covariant_derivative(
 
 
 def gauge_transform(A: ConnectionForm, g: MoyalElement, tol: float = 1e-10) -> ConnectionForm:
-    """A^g(X) = g^dag A(X) g + i g^dag [eta(X), g] for unitary g."""
+    """A^g(X) = g^dag A(X) g + i g^dag X(g) for unitary g."""
     act = gauge.unitary_action(g, tol, "gauge transformations require a unitary element")
     comps = {}
     for X in A.generators():
-        comps[X.name] = act(A.component(X), commutator(eta_rescaled(X, A.mu_scale), g))
+        # d_mu takes the exact derivative, not the commutator [eta_mu, g],
+        # which can be an ulp off at non-dyadic theta
+        if X.kind == "partial":
+            xg = partial(X.mu, g)
+        else:
+            xg = commutator(eta_rescaled(X, A.mu_scale), g)
+        comps[X.name] = act(A.component(X), xg)
     return replace(A, components=comps)
 
 

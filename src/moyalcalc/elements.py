@@ -41,7 +41,10 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
     significant bits) and is not snapped above, so k1 + k2 needs no
     re-quantising; a sum with a larger operand component is re-quantised;
   * the per-term parts (has a wave, has a monomial, shift tuples) are
-    computed once per operand term, not once per pair.
+    computed once per operand term, not once per pair;
+  * the phase is k1.Theta.k2 = sum over planes of Theta_ij (k1_i k2_j -
+    k1_j k2_i), antisymmetric term by term, so k.Theta.k is exactly 0 and
+    e^{-ik.x} * e^{ik.x} is exactly the unit.
 
 ``star`` returns the empty element when either operand has no terms, after
 the structure check.  ``commutator`` and ``anticommutator`` prune the two
@@ -50,9 +53,10 @@ products exactly as ``star`` does and combine them key by key exactly as
 
 Coefficients below ``PRUNE_REL`` times the largest modulus in an element are
 dropped after every operation; term iteration is in lexicographic (alpha, k)
-order so all reductions are deterministic.  Wave vector components must be
-finite: an infinite or NaN component, given or reached by a wave sum that
-overflows, raises ``ValueError``.
+order so all reductions are deterministic.  Monomial exponents must be
+nonnegative integers and wave vector components finite: a fractional or
+negative exponent, or an infinite or NaN component (given or reached by a
+wave sum that overflows), raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -115,6 +119,15 @@ def _clean_k(k) -> tuple:
     return tuple(_quantize(x) for x in k)
 
 
+def _clean_key(alpha, k) -> tuple:
+    """(alpha, k) with integer exponents and a snapped wave vector, or ``ValueError``."""
+    alpha = tuple(alpha)
+    # a // 1 is NaN for an infinite or NaN exponent, so those fail too
+    if not all(a >= 0 and a == a // 1 for a in alpha):
+        raise ValueError(f"monomial exponents must be nonnegative integers, got {alpha}")
+    return tuple(map(int, alpha)), _clean_k(k)
+
+
 @dataclass(frozen=True)
 class Term:
     """A single monomial x^alpha times plane wave e^{ik.x} with a coefficient."""
@@ -124,11 +137,10 @@ class Term:
     coeff: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "k", _clean_k(self.k))
+        alpha, k = _clean_key(self.alpha, self.k)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "coeff", complex(self.coeff))
-        if any(a < 0 for a in self.alpha):
-            raise ValueError("monomial exponents must be nonnegative")
         if len(self.alpha) != len(self.k):
             raise ValueError("alpha and k must have the same length")
 
@@ -162,15 +174,11 @@ class MoyalElement:
     def __init__(self, structure: SymplecticStructure, terms=None):
         merged = {}
         for key, c in (terms or {}).items():
-            alpha, k = key
-            alpha = tuple(int(a) for a in alpha)
-            k = _clean_k(k)
+            alpha, k = _clean_key(*key)
             if len(alpha) != structure.D or len(k) != structure.D:
                 raise ValueError(
                     f"term key of length {len(alpha)}/{len(k)} does not match D={structure.D}"
                 )
-            if min(alpha) < 0:
-                raise ValueError("monomial exponents must be nonnegative")
             c = complex(c)
             if c != 0:
                 key = (alpha, k)
@@ -467,28 +475,23 @@ def _kernel_terms(terms: dict, s: SymplecticStructure, left: bool) -> list:
     """Per-term data of the pair loop, computed once per operand term.
 
     Each entry is (alpha, k, c, has_monomial, wave): ``wave`` is None for a
-    polynomial term, else (on_grid, shift, kt). ``shift`` is the argument
-    shift this term's wave applies to the other factor's monomial, ``kt``
-    holds (j, k_i Theta_ij) for the BCH phase of a left term, and ``on_grid``
-    says every |k_mu| is below ``_K_LIMIT``, so wave sums need no re-quantising.
+    polynomial term, else (on_grid, shift).  ``shift`` is the argument shift
+    this term's wave applies to the other factor's monomial, +Theta k / 2 for
+    a left term and -Theta k / 2 for a right one (negation and 1/2 are exact),
+    and ``on_grid`` says every |k_mu| is below ``_K_LIMIT``, so wave sums need
+    no re-quantising.  ``_star_terms`` computes the BCH phase per pair.
     """
+    h = 0.5 if left else -0.5
     out = []
     for (alpha, k), c in terms.items():
         wave = None
         if any(x != 0.0 for x in k):
             shift = [0.0] * s.D
-            kt = ()
-            # Theta_ij = t and Theta_ji = -t, in the row-major order of Theta
+            # (Theta k)_i = t k_j and (Theta k)_j = -t k_i in the plane (i, j, t)
             for i, j, t in s._planes:
-                if left:
-                    # exponent -(1/2) k_mu Theta_{mu nu} d_nu on the right factor
-                    shift[j] -= 0.5 * k[i] * t
-                    shift[i] -= 0.5 * k[j] * -t
-                    kt += ((j, k[i] * t), (i, k[j] * -t))
-                else:
-                    shift[i] -= 0.5 * t * k[j]
-                    shift[j] -= 0.5 * -t * k[i]
-            wave = (max(map(abs, k)) < _K_LIMIT, tuple(shift), kt)
+                shift[i] = h * t * k[j]
+                shift[j] = -h * t * k[i]
+            wave = (max(map(abs, k)) < _K_LIMIT, tuple(shift))
         out.append((alpha, k, c, any(alpha), wave))
     return out
 
@@ -502,9 +505,11 @@ def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
         for alpha2, k2, c2, a2_any, wave2 in right:
             coeff = c1 * c2
             if wave1 and wave2:
+                # k1 Theta k2 summed over planes; antisymmetric term by term,
+                # so k Theta k is exactly 0
                 phase = 0.0
-                for j, x in wave1[2]:
-                    phase += x * k2[j]
+                for i, j, t in planes:
+                    phase += t * (k1[i] * k2[j] - k1[j] * k2[i])
                 if phase != 0.0:
                     coeff *= cmath.exp(-0.5j * phase)
                 if wave1[0] and wave2[0]:

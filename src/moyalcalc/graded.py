@@ -25,10 +25,10 @@ and through the generic graded formula
 
     F(X, Y) = [cA(X), cA(Y)] - cA([X, Y]) + (eta([X, Y]) - [eta(X), eta(Y)]),
 
-where cA(X) = -i (cov in the slot of X).  The mass scales m and mu_scale
-enter only the assembled action density (the potential coefficients
--8/(m theta) and 16/(m theta)^2), not the curvature table, which follows the
-unrescaled generator convention.
+where cA(X) = -i (cov in the slot of X).  The mass scale m enters only the
+assembled action density (the potential coefficients -8/(m theta) and
+16/(m theta)^2), not the curvature table, which follows the unrescaled
+generator convention; no computation reads ``mu_scale``.
 
 The generic formula, the canonical curvature, the dual-path residual, the gauge
 action, component filling and config loading are the scaffold in

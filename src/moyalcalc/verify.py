@@ -38,7 +38,7 @@ from .elements import (
     unit,
     xi,
 )
-from .gauge import max_residual, pair_iter
+from .gauge import max_residual, pair_iter, unitary_action
 from .structure import SymplecticStructure
 
 __all__ = [
@@ -362,23 +362,18 @@ def verify_connections(D: int, theta: float, seed: int, n_random: int = 20) -> l
     cov = conn.covariant_coordinates(A)
     for _ in range(n_random):
         g = random_gauge(rng, s)
-        gd = g.dag()
+        act = unitary_action(g, 1e-10, "random gauge element is not unitary")
         Ag = conn.gauge_transform(A, g)
         covg = conn.covariant_coordinates(Ag)
-        conj_cov = {name: star(star(gd, v), g) for name, v in cov.values.items()}
+        conj_cov = {name: act(v) for name, v in cov.values.items()}
         worst_cov = max(worst_cov, max_residual(covg.values, conj_cov))
-        worst_f = max(
-            worst_f,
-            conn.curvature(Ag).max_distance(F.map_entries(lambda v: star(star(gd, v), g))),
-        )
+        worst_f = max(worst_f, conn.curvature(Ag).max_distance(F.map_entries(act)))
         Dg = conn.covariant_derivative(Ag, 1, 1, min(2, D))
-        worst_d = max(worst_d, (Dg - star(star(gd, Dv), g)).norm())
-        worst_act = max(
-            worst_act, (conn.action_density(Ag) - star(star(gd, dens), g)).norm()
-        )
+        worst_d = max(worst_d, (Dg - act(Dv)).norm())
+        worst_act = max(worst_act, (conn.action_density(Ag) - act(dens)).norm())
         a = random_element(rng, s)
         X = partial_generator(s, 1)
-        lhs = star(gd, conn.canonical_connection(A, X, star(g, a)))
+        lhs = star(g.dag(), conn.canonical_connection(A, X, star(g, a)))
         worst_inv = max(worst_inv, (lhs - conn.canonical_connection(A, X, a)).norm())
     checks.append(Check("covariant coordinates homogeneous", worst_cov, 1e-10))
     checks.append(Check("curvature gauge covariant", worst_f, 1e-10))
@@ -513,11 +508,10 @@ def verify_graded(D: int, theta: float, seed: int, n_random: int = 40) -> list:
     Fc = gr.graded_curvature(A)
     for _ in range(n_random // 2):
         g0 = random_gauge(rng, s)
-        g = gr.GradedElement(g0, MoyalElement(s, {}))
-        gd = g.dag()
-        Ag = gr.graded_gauge_transform(A, g)
-        worst_phi = max(worst_phi, (Ag.phi - star(star(g0.dag(), A.phi), g0)).norm())
-        conj_Fc = {k: gd * v * g for k, v in Fc.items()}
+        act = unitary_action(g0, 1e-10, "random gauge element is not unitary")
+        Ag = gr.graded_gauge_transform(A, gr.GradedElement(g0, MoyalElement(s, {})))
+        worst_phi = max(worst_phi, (Ag.phi - act(A.phi)).norm())
+        conj_Fc = {k: gr.GradedElement(act(v.even), act(v.odd)) for k, v in Fc.items()}
         worst_f = max(worst_f, max_residual(gr.graded_curvature(Ag), conj_Fc))
     checks.append(Check("phi transforms homogeneously", worst_phi, 1e-10))
     checks.append(Check("graded curvature gauge covariant", worst_f, 1e-10))

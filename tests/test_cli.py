@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,7 +7,7 @@ import warnings
 
 import pytest
 
-from moyalcalc.cli import main
+from moyalcalc.cli import _build_parser, main
 
 
 def run_cli(args, capsys):
@@ -218,6 +219,54 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+_MINIMAL_CFG = {"curvature": {"D": 2, "components": {"d1": "x1"}}, "graded": {"D": 2}}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--scope", "derivations"], ["--tol", "1e-9"]),
+        (["star", "x1", "x2"], ["--seed", "3"]),
+        (["star", "x1", "x2"], ["--tol", "1e-9"]),
+        (["curvature"], ["--seed", "3"]),
+        (["curvature"], ["--alpha", "2.0"]),
+        (["graded"], ["--seed", "3"]),
+        (["graded"], ["--m", "2.0"]),
+        (["graded"], ["--mu", "2.0"]),
+        (["oneloop", "--n-points", "4"], ["--seed", "3"]),
+        (["bessel-check"], ["--dim", "2"]),
+        (["bessel-check"], ["--theta", "0.5"]),
+        (["bessel-check"], ["--tol", "1e-9"]),
+    ],
+)
+def test_flags_no_report_reads_exit_2(argv, flag, tmp_path, capsys):
+    if argv[0] in _MINIMAL_CFG:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_MINIMAL_CFG[argv[0]]))
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli([*argv, *flag], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:") and "unrecognized arguments" in err
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {a.dest for a in p._actions if a.dest != "help"} for name, p in sub.choices.items()
+    }
+    structure = {"dim", "theta"}
+    assert declared == {
+        "verify": structure | {"seed", "scope", "config"},
+        "star": structure | {"left", "right"},
+        "curvature": structure | {"tol", "config", "out", "mu"},
+        "graded": structure | {"tol", "config", "out"},
+        "oneloop": structure | {"tol", "mu", "n_higgs", "p_min", "p_max", "n_points", "out"},
+        "bessel-check": {"seed"},
+    }
+    assert sum(map(len, declared.values())) == 30
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -187,6 +187,17 @@ def test_gauge_transform_examples():
         gauge_transform(A, 2.0 * unit(S2))
 
 
+def test_gauge_transform_exact_pure_gauge():
+    # the d_mu slots take the exact derivative partial_mu g, and g^dag g is
+    # exactly the unit, so the pure gauge is -k_mu times the unit even at a
+    # non-dyadic theta, with no imaginary residue
+    s = SymplecticStructure(2, 0.3)
+    k = (-0.75, 1.75)
+    Ag = gauge_transform(zero_connection(s, basis="G1"), plane_wave(s, k))
+    for mu in (1, 2):
+        assert Ag.components[f"d{mu}"].terms == {((0, 0), (0.0, 0.0)): complex(-k[mu - 1])}
+
+
 def test_curvature_gauge_orbit():
     rng = np.random.default_rng(29)
     A = random_connection(rng, S2)

@@ -394,6 +394,31 @@ def test_negative_exponents_raise():
         load_element("1.0 0.0 | -1 0 | 0.0 0.0\n", S2)
 
 
+def test_fractional_exponents_raise():
+    # int() would truncate them: x1^1.5 became x1 and x0.9 x2^2 became x2^2
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        MoyalElement(S2, {((1.5, 0), (0.0, 0.0)): 1.0})
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        Term((0.9, 2), (0, 0), 1)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            MoyalElement(S2, {((bad, 0), (0.0, 0.0)): 1.0})
+    # integral values of any numeric type are accepted
+    assert Term((2.0, np.int64(1)), (0, 0), 1).alpha == (2, 1)
+
+
+@pytest.mark.parametrize("D", [2, 4])
+def test_single_wave_conjugation_is_exact(D):
+    # the phase k Theta k of w^dag * w cancels term by term, also at
+    # non-dyadic theta and off-grid wave vectors
+    s = SymplecticStructure(D, 0.3)
+    rng = np.random.default_rng(D)
+    for _ in range(200):
+        w = plane_wave(s, rng.uniform(-3.0, 3.0, D))
+        assert star(w.dag(), w).terms == unit(s).terms
+        assert star(w, w.dag()).terms == unit(s).terms
+
+
 def test_non_finite_coefficients_raise():
     # a NaN that is not the first term is skipped by max() and dropped by the
     # cutoff test, so the check must not depend on term order
