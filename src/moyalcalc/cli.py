@@ -10,6 +10,7 @@ convention sheet so published numbers are unambiguous.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,7 +61,9 @@ def _effective(args, cfg=None):
     return tuple(out)
 
 
+@functools.cache
 def _build_parser():
+    """Built once per process; ``main`` dispatches via the module-level ``_report_*`` names."""
     ap = argparse.ArgumentParser(prog="moyalcalc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

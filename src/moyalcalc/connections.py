@@ -148,7 +148,6 @@ class CurvatureTable:
     """Curvature entries keyed by ordered generator-name pairs (basis order)."""
 
     structure: SymplecticStructure
-    names: tuple
     entries: dict  # (name_i, name_j) with i <= j in basis order
 
     def __call__(self, n1: str, n2: str) -> MoyalElement:
@@ -159,11 +158,7 @@ class CurvatureTable:
         raise KeyError((n1, n2))
 
     def map_entries(self, f) -> "CurvatureTable":
-        return CurvatureTable(
-            self.structure,
-            self.names,
-            {key: f(val) for key, val in self.entries.items()},
-        )
+        return CurvatureTable(self.structure, {key: f(val) for key, val in self.entries.items()})
 
     def max_distance(self, other: "CurvatureTable") -> float:
         return gauge.max_residual(self.entries, other.entries)
@@ -196,7 +191,7 @@ def curvature(A: ConnectionForm) -> CurvatureTable:
                 + Ti[s_, m] * cov[sym_generator(s, X.nu, Y.mu).name]
             )
         entries[(X.name, Y.name)] = val
-    return CurvatureTable(s, tuple(g.name for g in gens), entries)
+    return CurvatureTable(s, entries)
 
 
 def _bracket_rescaled(X, Y, mu_scale):
@@ -208,15 +203,14 @@ def _bracket_rescaled(X, Y, mu_scale):
 def curvature_generic(A: ConnectionForm) -> CurvatureTable:
     """Curvature from the generic formula; must match ``curvature``."""
     s = A.structure
-    gens = A.generators()
     entries = gauge.generic_curvature(
-        gens,
+        A.generators(),
         covariant_coordinates(A),
         lambda X, Y: _bracket_rescaled(X, Y, A.mu_scale),
         commutator,
         unit(s),
     )
-    return CurvatureTable(s, tuple(g.name for g in gens), entries)
+    return CurvatureTable(s, entries)
 
 
 def canonical_curvature(
@@ -227,7 +221,7 @@ def canonical_curvature(
     entries = gauge.canonical_entries(
         gens, lambda X, Y: _bracket_rescaled(X, Y, mu_scale), unit(s)
     )
-    return CurvatureTable(s, tuple(g.name for g in gens), entries)
+    return CurvatureTable(s, entries)
 
 
 def covariant_derivative(

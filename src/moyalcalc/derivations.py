@@ -26,12 +26,11 @@ import numpy as np
 
 from .elements import (
     MoyalElement,
-    _fold,
+    anticommutator,
     commutator,
     monomial,
     partial,
     pointwise,
-    star,
     unit,
     xi,
 )
@@ -115,7 +114,7 @@ def eta(X: DerivationGenerator) -> MoyalElement:
     if X.kind == "sym":
         # pointwise product xi_mu xi_nu: the symmetrised star product, which
         # cancels the constant star correction of the mixed case
-        return 0.5j * (star(xi(s, X.mu), xi(s, X.nu)) + star(xi(s, X.nu), xi(s, X.mu)))
+        return 0.5j * anticommutator(xi(s, X.mu), xi(s, X.nu))
     P = X.inner
     if not P.is_polynomial():
         raise ValueError("eta is defined for polynomial inner derivations only")
@@ -142,14 +141,13 @@ def poisson_bracket(P1: MoyalElement, P2: MoyalElement) -> MoyalElement:
         raise ValueError("poisson_bracket requires pure polynomials (k = 0)")
     s = P1.structure
     grads = [(mu, partial(mu, P1)) for mu in range(1, s.D + 1)]
-    out = _fold(
+    return sum((
         t * pointwise(d1, partial(nu, P2))
         for mu, d1 in grads
         if not d1.is_zero()
         for nu, t in enumerate(s.Theta[mu - 1], start=1)
         if t != 0.0
-    )
-    return out if out is not None else MoyalElement(s, {})
+    ), MoyalElement(s, {}))
 
 
 # ---------------------------------------------------------------------------

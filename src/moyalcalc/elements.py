@@ -611,14 +611,6 @@ def rel_distance(a: MoyalElement, b: MoyalElement) -> float:
     return distance(a, b) / scale
 
 
-def _fold(pieces):
-    """Left-to-right sum of the pieces with ``+``; None when there are none."""
-    out = None
-    for piece in pieces:
-        out = piece if out is None else out + piece
-    return out
-
-
 # ---------------------------------------------------------------------------
 # line-oriented serialization
 # ---------------------------------------------------------------------------

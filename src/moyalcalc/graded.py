@@ -28,7 +28,7 @@ and through the generic graded formula
 where cA(X) = -i (cov in the slot of X).  The mass scale m enters only the
 assembled action density (the potential coefficients -8/(m theta) and
 16/(m theta)^2), not the curvature table, which follows the unrescaled
-generator convention; no computation reads ``mu_scale``.
+generator convention.
 
 The generic formula, the canonical curvature, the dual-path residual, the gauge
 action, component filling and config loading are the scaffold in
@@ -250,17 +250,18 @@ def verify_graded_table(s: SymplecticStructure) -> dict:
     """
     Ti = s.ThetaInv
     gu = graded_unit(s)
+    reps = {X.name: graded_eta(X) for X in graded_generators(s)}
 
     def T(m):
-        return graded_eta(GradedGenerator(s, "T", mu=m))
+        return reps[f"T{m}"]
 
     def U(m):
-        return graded_eta(GradedGenerator(s, "U", mu=m))
+        return reps[f"U{m}"]
 
     def M(m, n):
-        return graded_eta(GradedGenerator(s, "M", mu=min(m, n), nu=max(m, n)))
+        return reps[f"M{min(m, n)}{max(m, n)}"]
 
-    J = graded_eta(GradedGenerator(s, "J"))
+    J = reps["J"]
     D = s.D
     res = {}
 
@@ -306,7 +307,7 @@ def verify_graded_table(s: SymplecticStructure) -> dict:
 
 @dataclass(frozen=True)
 class GradedConnectionForm:
-    """Components A0_mu, A1_mu, G0_(mn), phi with mass scales m and mu."""
+    """Components A0_mu, A1_mu, G0_(mn), phi with the mass scale m."""
 
     structure: SymplecticStructure
     A0: dict = field(default_factory=dict)  # "d1".. -> element
@@ -314,12 +315,11 @@ class GradedConnectionForm:
     G0: dict = field(default_factory=dict)  # "X11".. -> element
     phi: MoyalElement = None
     m_scale: float = 1.0
-    mu_scale: float = 1.0
 
     def __post_init__(self):
         s = self.structure
-        if self.m_scale <= 0 or self.mu_scale <= 0:
-            raise ValueError("mass scales must be positive")
+        if self.m_scale <= 0:
+            raise ValueError("the mass scale m must be positive")
         dnames = [f"d{m}" for m in range(1, s.D + 1)]
         xnames = [f"X{m}{n}" for m in range(1, s.D + 1) for n in range(m, s.D + 1)]
         unknown = "unknown component names"
@@ -369,7 +369,7 @@ def graded_curvature_generic(A: GradedConnectionForm) -> dict:
 
 def _xi_xi(s: SymplecticStructure, m: int, n: int) -> MoyalElement:
     """xi_m xi_n as the symmetrised star product."""
-    return 0.5 * (star(xi(s, m), xi(s, n)) + star(xi(s, n), xi(s, m)))
+    return 0.5 * anticommutator(xi(s, m), xi(s, n))
 
 
 def graded_curvature(A: GradedConnectionForm) -> dict:
@@ -589,8 +589,8 @@ def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
 def graded_connection_from_config(cfg: dict, parse=None) -> GradedConnectionForm:
     """Build a graded connection from the JSON-compatible mapping.
 
-    Keys: D, theta, m, mu, and component groups A0, A1, G0 (name -> expression)
-    plus phi (expression).
+    Keys: D, theta, m, and component groups A0, A1, G0 (name -> expression)
+    plus phi (expression).  Other keys, such as the ungraded ``mu``, are ignored.
     """
     s = gauge.structure_from_config(cfg, "graded")
     phi = gauge.parse_components({"phi": cfg.get("phi")}, s, parse)["phi"]
@@ -601,5 +601,4 @@ def graded_connection_from_config(cfg: dict, parse=None) -> GradedConnectionForm
         G0=gauge.parse_components(cfg.get("G0"), s, parse),
         phi=phi,
         m_scale=float(cfg.get("m", 1.0)),
-        mu_scale=float(cfg.get("mu", 1.0)),
     )

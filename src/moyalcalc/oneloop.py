@@ -135,7 +135,12 @@ def wedge(p, k, s: SymplecticStructure) -> float:
 # completed by momentum conservation)
 # ---------------------------------------------------------------------------
 
-def _complete(cfg, *ks):
+def _complete(cfg, ks, indices=()):
+    """The momenta ``ks`` as arrays, an omitted (None) one completed so they sum to zero.
+
+    Momenta of the wrong length, or more than one omitted, raise ``ValueError``;
+    then a spacetime index in ``indices`` outside 1..D raises ``IndexError``.
+    """
     ks = [None if k is None else np.asarray(k, dtype=float) for k in ks]
     missing = [i for i, k in enumerate(ks) if k is None]
     if len(missing) > 1:
@@ -146,6 +151,8 @@ def _complete(cfg, *ks):
     for k in ks:
         if k.shape != (cfg.D,):
             raise ValueError(f"momenta must have length {cfg.D}")
+    for idx in indices:
+        cfg.structure.check_index(idx)
     return ks
 
 
@@ -155,9 +162,7 @@ def _sin_half_wedge(cfg, a, b):
 
 def vertex_3g(cfg, k1, k2, k3, alpha, beta, gamma) -> complex:
     """Three-gauge vertex."""
-    k1, k2, k3 = _complete(cfg, k1, k2, k3)
-    for idx in (alpha, beta, gamma):
-        cfg.structure.check_index(idx)
+    k1, k2, k3 = _complete(cfg, (k1, k2, k3), (alpha, beta, gamma))
     a, b, g = alpha - 1, beta - 1, gamma - 1
     bracket = (
         (k2 - k1)[g] * (a == b)
@@ -179,23 +184,19 @@ def _quartic_sin_sum(cfg, k1, k2, k3, k4, a, b, c, d):
 
 def vertex_4g(cfg, k1, k2, k3, k4, alpha, beta, gamma, delta) -> complex:
     """Four-gauge vertex."""
-    k1, k2, k3, k4 = _complete(cfg, k1, k2, k3, k4)
-    for idx in (alpha, beta, gamma, delta):
-        cfg.structure.check_index(idx)
+    k1, k2, k3, k4 = _complete(cfg, (k1, k2, k3, k4), (alpha, beta, gamma, delta))
     return -4.0 * _quartic_sin_sum(cfg, k1, k2, k3, k4, alpha, beta, gamma, delta)
 
 
 def vertex_ghost(cfg, k1, k2, k3, mu) -> complex:
     """Gauge boson-ghost vertex: i 2 k1_mu sin(k2^k3 / 2)."""
-    k1, k2, k3 = _complete(cfg, k1, k2, k3)
-    cfg.structure.check_index(mu)
+    k1, k2, k3 = _complete(cfg, (k1, k2, k3), (mu,))
     return 2j * k1[mu - 1] * _sin_half_wedge(cfg, k2, k3)
 
 
 def vertex_gauge_higgs(cfg, k1, k2, k3, a, b, mu) -> complex:
     """Gauge boson-Higgs vertex: i delta_ab (k1 - k2)_mu sin(k2^k3 / 2)."""
-    k1, k2, k3 = _complete(cfg, k1, k2, k3)
-    cfg.structure.check_index(mu)
+    k1, k2, k3 = _complete(cfg, (k1, k2, k3), (mu,))
     if a != b:
         return 0j
     return 1j * (k1 - k2)[mu - 1] * _sin_half_wedge(cfg, k2, k3)
@@ -203,9 +204,7 @@ def vertex_gauge_higgs(cfg, k1, k2, k3, a, b, mu) -> complex:
 
 def seagull(cfg, k1, k2, k3, k4, a, b, alpha, beta) -> complex:
     """Two-gauge two-Higgs seagull vertex."""
-    k1, k2, k3, k4 = _complete(cfg, k1, k2, k3, k4)
-    for idx in (alpha, beta):
-        cfg.structure.check_index(idx)
+    k1, k2, k3, k4 = _complete(cfg, (k1, k2, k3, k4), (alpha, beta))
     if alpha != beta or a != b:
         return 0j
     w = cfg.structure.wedge
@@ -217,13 +216,13 @@ def seagull(cfg, k1, k2, k3, k4, a, b, alpha, beta) -> complex:
 
 def vertex_3h(cfg, k1, k2, k3, a, b, c, C) -> complex:
     """Three-Higgs vertex with caller-supplied structure constants C[a][b][c]."""
-    k1, k2, k3 = _complete(cfg, k1, k2, k3)
+    k1, k2, k3 = _complete(cfg, (k1, k2, k3))
     return 1j * C[a][b][c] * _sin_half_wedge(cfg, k1, k2)
 
 
 def vertex_4h(cfg, k1, k2, k3, k4, a, b, c, d) -> complex:
     """Four-Higgs vertex."""
-    k1, k2, k3, k4 = _complete(cfg, k1, k2, k3, k4)
+    k1, k2, k3, k4 = _complete(cfg, (k1, k2, k3, k4))
     return 4.0 * _quartic_sin_sum(cfg, k1, k2, k3, k4, a, b, c, d)
 
 
@@ -369,18 +368,16 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
     reg2 = cfg.ir_regulator**2
     a2 = _a_nd(2, D)
 
-    zero = (0.0, 0.0)
-    if i == 3:
-        if D == 2 and reg2 == 0.0:
+    if i in (3, 5):
+        # the gauge tadpole (3) and the Higgs tadpole (5) are closed forms
+        if i == 3 and D == 2 and reg2 == 0.0:
             raise ValueError(
                 "the massless D = 2 tadpole is infrared divergent; "
                 "set ir_regulator to evaluate it"
             )
-        val = -4.0 * (D - 1) * _a_nd(1, D) * bessel_m(1 - D / 2.0, math.sqrt(reg2), pt)
-        return {"delta": (val, 1e-12 * abs(val)), "pp": zero, "ptpt": zero}
-    if i == 5:
-        val = 2.0 * NH * _a_nd(1, D) * bessel_m(1 - D / 2.0, cfg.mu_mass, pt)
-        return {"delta": (val, 1e-12 * abs(val)), "pp": zero, "ptpt": zero}
+        coef, mass = (-4.0 * (D - 1), math.sqrt(reg2)) if i == 3 else (2.0 * NH, cfg.mu_mass)
+        val = coef * _a_nd(1, D) * bessel_m(1 - D / 2.0, mass, pt)
+        return {"delta": (val, 1e-12 * abs(val)), "pp": (0.0, 0.0), "ptpt": (0.0, 0.0)}
 
     if i in (1, 2) and D == 2 and reg2 == 0.0:
         raise ValueError(

@@ -26,7 +26,6 @@ from .derivations import (
 )
 from .elements import (
     MoyalElement,
-    _fold,
     commutator,
     coordinate,
     monomial,
@@ -96,6 +95,7 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
     s = SymplecticStructure(D, theta)
     rng = np.random.default_rng(seed)
     checks = []
+    zero = MoyalElement(s, {})
 
     worst = 0.0
     for _ in range(n_random):
@@ -119,9 +119,9 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
         for mu in range(1, D + 1):
             xmu = coordinate(s, mu)
             row = [(nu, t) for nu, t in enumerate(s.Theta[mu - 1], start=1) if t != 0.0]
-            grad = _fold((1j * t) * partial(nu, a) for nu, t in row)
+            grad = sum(((1j * t) * partial(nu, a) for nu, t in row), zero)
             w_xcomm = max(w_xcomm, rel_distance(commutator(xmu, a), grad))
-            half = _fold((0.5j * t) * partial(nu, a) for nu, t in row)
+            half = sum(((0.5j * t) * partial(nu, a) for nu, t in row), zero)
             w_xprod = max(w_xprod, rel_distance(star(xmu, a), pointwise(xmu, a) + half))
             mixed = star(pointwise(xmu, aw), bw)
             for nu, t in row:
@@ -130,17 +130,17 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
         mu, nu = (int(rng.integers(1, D + 1)) for _ in range(2))
         xmu, xnu = coordinate(s, mu), coordinate(s, nu)
         xx = pointwise(xmu, xnu)
-        second = _fold(
+        second = sum((
             (-0.25 * t) * partial(al, partial(sg, a))
             for al in range(1, D + 1)
             for sg in range(1, D + 1)
             if (t := s.Theta[mu - 1, al - 1] * s.Theta[nu - 1, sg - 1]) != 0.0
-        ) or MoyalElement(s, {})
-        first = _fold(
+        ), zero)
+        first = sum((
             0.5j * (s.Theta[nu - 1, be - 1] * pointwise(xmu, partial(be, a))
                     + s.Theta[mu - 1, be - 1] * pointwise(xnu, partial(be, a)))
             for be in range(1, D + 1)
-        )
+        ), zero)
         base = pointwise(xx, a)
         w_quad = max(w_quad, rel_distance(star(xx, a), base + first + second))
         w_quad = max(w_quad, rel_distance(star(a, xx), base - first + second))
@@ -148,12 +148,12 @@ def verify_core(D: int, theta: float, seed: int, n_random: int = 100) -> list:
         xr = coordinate(s, rho)
         xxx = pointwise(xx, xr)
         lhs = commutator(xxx, a)
-        rhs = _fold(
+        rhs = sum((
             1j * (s.Theta[nu - 1, be - 1] * pointwise(pointwise(xr, xmu), partial(be, a))
                   + s.Theta[mu - 1, be - 1] * pointwise(pointwise(xnu, xr), partial(be, a))
                   + s.Theta[rho - 1, be - 1] * pointwise(pointwise(xmu, xnu), partial(be, a)))
             for be in range(1, D + 1)
-        )
+        ), zero)
         for al in range(1, D + 1):
             for sg in range(1, D + 1):
                 for lam in range(1, D + 1):

@@ -287,3 +287,15 @@ def test_byte_identical_reruns(tmp_path):
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_graded_ignores_the_mu_key(tmp_path, capsys):
+    cfg = tmp_path / "graded.json"
+    cfg.write_text(json.dumps(_GRADED_CFG | {"mu": 0}))
+    code, out, _ = run_cli(["graded", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert "F(J,J)" in out

@@ -337,3 +337,10 @@ def test_graded_config_loader():
     assert A.A0["d2"].norm() == 0.0
     with pytest.raises(ValueError):
         graded_connection_from_config({"D": 3}, parse=parse_expression)
+
+
+def test_graded_config_loader_ignores_mu():
+    cfg = {"D": 2, "m": 1.5, "mu": 0, "A0": {"d1": "x2"}}
+    A = graded_connection_from_config(cfg, parse=parse_expression)
+    assert A.m_scale == 1.5
+    assert (A.A0["d1"] - coordinate(S2, 2)).norm() == 0.0

@@ -31,3 +31,19 @@ def test_tracer_install_rebinds_and_uninstall_restores(monkeypatch):
         tracer.uninstall()
     assert connections.curvature is curvature
     assert oneloop.integrate is integrate
+
+
+def test_traced_cli_call_records_its_report_span(monkeypatch, capsys):
+    # ``main`` must dispatch through the module-level ``_report_*`` names that
+    # the tracer rebinds, also when the parser is built only once
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("run"):
+            assert moyalcalc.cli.main(["star", "--dim", "2", "x1", "x2"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.summary("run")["cli.star"]["calls"] == 1

@@ -127,3 +127,27 @@ def test_identical_species_leg_permutation():
     v = vertex_gauge_higgs(CFG2, k1, k2, k3, 1, 1, 1)
     vs = vertex_gauge_higgs(CFG2, k2, k1, k3, 1, 1, 1)
     assert abs(v - vs) < 1e-13
+
+
+@pytest.mark.parametrize("cfg", [CFG2, CFG4], ids=["D2", "D4"])
+@pytest.mark.parametrize(
+    "vertex, n_momenta, flavours, n_indices",
+    [
+        (vertex_3g, 3, (), 3),
+        (vertex_4g, 4, (), 4),
+        (vertex_ghost, 3, (), 1),
+        (vertex_gauge_higgs, 3, (1, 1), 1),
+        (seagull, 4, (1, 1), 2),
+    ],
+    ids=["3g", "4g", "ghost", "gauge_higgs", "seagull"],
+)
+def test_vertex_spacetime_indices_are_checked(cfg, vertex, n_momenta, flavours, n_indices):
+    ks = [np.full(cfg.D, 0.5 * (j + 1)) for j in range(n_momenta - 1)] + [None]
+    for good in (1, cfg.D):
+        vertex(cfg, *ks, *flavours, *([good] * n_indices))
+    for pos in range(n_indices):
+        for bad in (0, cfg.D + 1):
+            indices = [1] * n_indices
+            indices[pos] = bad
+            with pytest.raises(IndexError):
+                vertex(cfg, *ks, *flavours, *indices)
