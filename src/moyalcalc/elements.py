@@ -35,13 +35,17 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
   * couplings are pure functions of (alpha1, v, alpha2, w, Theta), so they
     come from two bounded process-wide caches: ``_monomial_couple`` (1024
     entries) when neither side is shifted and ``_shifted_couple`` (256
-    entries) otherwise.  Cached dicts are shared and read-only;
+    entries) otherwise.  A miss of the latter takes its two shift expansions
+    from a third, ``_cached_shift`` (256 entries).  Cached dicts are shared
+    and read-only;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
     significant bits) and is not snapped above, so k1 + k2 needs no
     re-quantising; a sum with a larger operand component is re-quantised;
-  * the per-term parts (has a wave, has a monomial, shift tuples) are
-    computed once per operand term, not once per pair;
+  * the per-term parts (has a wave, has a monomial, both shift tuples) are
+    computed once per element, on its first product, and kept with it
+    (``MoyalElement.kernel``), so neither a later product nor the second
+    order of a bracket recomputes them;
   * the phase is k1.Theta.k2 = sum over planes of Theta_ij (k1_i k2_j -
     k1_j k2_i), antisymmetric term by term, so k.Theta.k is exactly 0 and
     e^{-ik.x} * e^{ik.x} is exactly the unit.
@@ -169,7 +173,7 @@ def _pruned(merged: dict) -> dict:
 class MoyalElement:
     """Finite complex combination of monomial x plane-wave terms."""
 
-    __slots__ = ("structure", "terms")
+    __slots__ = ("structure", "terms", "_kernel")
 
     def __init__(self, structure: SymplecticStructure, terms=None):
         merged = {}
@@ -188,6 +192,7 @@ class MoyalElement:
     def _finish(self, structure, merged):
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "terms", dict(sorted(_pruned(merged).items())))
+        object.__setattr__(self, "_kernel", None)
 
     @classmethod
     def _trusted(cls, structure, merged: dict) -> "MoyalElement":
@@ -202,6 +207,18 @@ class MoyalElement:
     # -- iteration and basic queries ------------------------------------
     def items(self):
         return self.terms.items()
+
+    def kernel(self) -> list:
+        """The star kernel's per-term data (``_kernel_terms``), built on first use.
+
+        Threads that race here build equal lists and one of them is kept, so
+        the element stays safe to share.
+        """
+        data = self._kernel
+        if data is None:
+            data = _kernel_terms(self.terms, self.structure)
+            object.__setattr__(self, "_kernel", data)
+        return data
 
     def norm(self) -> float:
         """Max-coefficient norm."""
@@ -398,6 +415,11 @@ def _shift_monomial(alpha: tuple, v) -> dict:
     return out
 
 
+# the shifts of a _shifted_couple miss repeat far more than the (alpha1, v,
+# alpha2, w) keys do; _shift_monomial itself stays uncached for list shifts
+_cached_shift = lru_cache(maxsize=256)(_shift_monomial)
+
+
 def _plane_couple(a1: int, a2: int, b1: int, b2: int, t: float) -> list:
     """One plane's factor of the coupling of x^(a1, a2) (x) x^(b1, b2).
 
@@ -457,9 +479,9 @@ def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, planes: tuple) -> dict:
     bilinear, so it is the sum of ``_monomial_couple`` over the monomials of
     the two shifts. The result is shared, so callers must not mutate it.
     """
-    right = _shift_monomial(alpha2, w)
+    right = _cached_shift(alpha2, w)
     out = {}
-    for beta1, c1 in _shift_monomial(alpha1, v).items():
+    for beta1, c1 in _cached_shift(alpha1, v).items():
         for beta2, c2 in right.items():
             scale = c1 * c2
             for alpha, c in _monomial_couple(beta1, beta2, planes).items():
@@ -471,17 +493,18 @@ def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, planes: tuple) -> dict:
 # the star product
 # ---------------------------------------------------------------------------
 
-def _kernel_terms(terms: dict, s: SymplecticStructure, left: bool) -> list:
-    """Per-term data of the pair loop, computed once per operand term.
+def _kernel_terms(terms: dict, s: SymplecticStructure) -> list:
+    """Per-term data of the pair loop, computed once per element (see ``kernel``).
 
     Each entry is (alpha, k, c, has_monomial, wave): ``wave`` is None for a
-    polynomial term, else (on_grid, shift).  ``shift`` is the argument shift
-    this term's wave applies to the other factor's monomial, +Theta k / 2 for
-    a left term and -Theta k / 2 for a right one (negation and 1/2 are exact),
-    and ``on_grid`` says every |k_mu| is below ``_K_LIMIT``, so wave sums need
-    no re-quantising.  ``_star_terms`` computes the BCH phase per pair.
+    polynomial term, else (on_grid, left, right).  ``left`` and ``right`` are
+    the argument shifts this term's wave applies to the other factor's
+    monomial when the term is the left factor, +Theta k / 2, and when it is
+    the right one, -Theta k / 2.  ``right`` is the negation of ``left``, which
+    is bit-exact (IEEE rounding is sign-symmetric, signed zeros included).
+    ``on_grid`` says every |k_mu| is below ``_K_LIMIT``, so wave sums need no
+    re-quantising.  ``_star_terms`` computes the BCH phase per pair.
     """
-    h = 0.5 if left else -0.5
     out = []
     for (alpha, k), c in terms.items():
         wave = None
@@ -489,19 +512,21 @@ def _kernel_terms(terms: dict, s: SymplecticStructure, left: bool) -> list:
             shift = [0.0] * s.D
             # (Theta k)_i = t k_j and (Theta k)_j = -t k_i in the plane (i, j, t)
             for i, j, t in s._planes:
-                shift[i] = h * t * k[j]
-                shift[j] = -h * t * k[i]
-            wave = (max(map(abs, k)) < _K_LIMIT, tuple(shift))
+                shift[i] = 0.5 * t * k[j]
+                shift[j] = -0.5 * t * k[i]
+            wave = (max(map(abs, k)) < _K_LIMIT, tuple(shift), tuple(-x for x in shift))
         out.append((alpha, k, c, any(alpha), wave))
     return out
 
 
-def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
-    """Accumulate the star products of all term pairs into one (alpha, k) -> c dict."""
+def _star_terms(left: list, right: list, s: SymplecticStructure) -> dict:
+    """Accumulate the star products of all term pairs into one (alpha, k) -> c dict.
+
+    ``left`` and ``right`` are the ``kernel()`` data of the two factors.
+    """
     planes = s._planes
-    right = _kernel_terms(b_terms, s, left=False)
     out = {}
-    for alpha1, k1, c1, a1_any, wave1 in _kernel_terms(a_terms, s, left=True):
+    for alpha1, k1, c1, a1_any, wave1 in left:
         for alpha2, k2, c2, a2_any, wave2 in right:
             coeff = c1 * c2
             if wave1 and wave2:
@@ -518,7 +543,7 @@ def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
                     kout = _clean_k(map(add, k1, k2))
             else:
                 kout = k2 if wave2 else k1
-            v = wave2[1] if wave2 and a1_any else None
+            v = wave2[2] if wave2 and a1_any else None
             w = wave1[1] if wave1 and a2_any else None
             if v is None and w is None:
                 combined = _monomial_couple(alpha1, alpha2, planes)
@@ -531,9 +556,12 @@ def _star_terms(a_terms: dict, b_terms: dict, s: SymplecticStructure) -> dict:
 
 
 def star_term(t1: Term, t2: Term, s: SymplecticStructure) -> MoyalElement:
-    """Exact star product of two terms over the structure ``s``."""
-    out = _star_terms({(t1.alpha, t1.k): t1.coeff}, {(t2.alpha, t2.k): t2.coeff}, s)
-    return MoyalElement._trusted(s, out)
+    """Exact star product of two terms over the structure ``s``.
+
+    A term whose length is not ``s.D`` raises ``ValueError``.
+    """
+    return star(MoyalElement(s, {(t1.alpha, t1.k): t1.coeff}),
+                MoyalElement(s, {(t2.alpha, t2.k): t2.coeff}))
 
 
 def star(a: MoyalElement, b: MoyalElement) -> MoyalElement:
@@ -541,7 +569,7 @@ def star(a: MoyalElement, b: MoyalElement) -> MoyalElement:
     a.structure.check_compatible(b.structure)
     if not a.terms or not b.terms:
         return MoyalElement._trusted(a.structure, {})
-    return MoyalElement._trusted(a.structure, _star_terms(a.terms, b.terms, a.structure))
+    return MoyalElement._trusted(a.structure, _star_terms(a.kernel(), b.kernel(), a.structure))
 
 
 def pointwise(a: MoyalElement, b: MoyalElement) -> MoyalElement:
@@ -568,8 +596,9 @@ def _bracket(a: MoyalElement, b: MoyalElement, combine) -> MoyalElement:
     """
     a.structure.check_compatible(b.structure)
     s = a.structure
-    terms = _pruned(_star_terms(a.terms, b.terms, s))
-    for key, c in _pruned(_star_terms(b.terms, a.terms, s)).items():
+    ka, kb = a.kernel(), b.kernel()
+    terms = _pruned(_star_terms(ka, kb, s))
+    for key, c in _pruned(_star_terms(kb, ka, s)).items():
         terms[key] = combine(terms.get(key, 0j), c)
     return MoyalElement._trusted(s, terms)
 

@@ -1,5 +1,7 @@
+import sys
+import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, copysign, factorial
 
 import numpy as np
 import pytest
@@ -28,7 +30,13 @@ from moyalcalc import (
     xi,
 )
 from moyalcalc.cli import main
-from moyalcalc.elements import PRUNE_REL, _monomial_couple, _shift_monomial, _shifted_couple
+from moyalcalc.elements import (
+    PRUNE_REL,
+    _cached_shift,
+    _monomial_couple,
+    _shift_monomial,
+    _shifted_couple,
+)
 from moyalcalc.verify import random_element
 
 S2 = SymplecticStructure(2, 1.0)
@@ -492,6 +500,138 @@ def test_star_with_empty_operand():
             star(lhs, rhs)
         with pytest.raises(StructureMismatchError):
             commutator(lhs, rhs)
+
+
+def test_star_term_checks_term_length():
+    # a 3-long term over D=2 used to lose x3^2 and mix 2-long exponents with
+    # 3-long wave vectors; a 1-long term raised a bare IndexError
+    x1x3 = Term((1, 0, 2), (0.0, 0.0, 0.0), 1)
+    x2 = Term((0, 1, 0), (0.0, 0.0, 0.0), 1)
+    with pytest.raises(ValueError, match="does not match D=2"):
+        star_term(x1x3, x2, S2)
+    with pytest.raises(ValueError, match="does not match D=2"):
+        star_term(Term((1,), (0.0,), 1), Term((0, 1), (0.0, 0.0), 1), S2)
+    s3 = SymplecticStructure(4)
+    with pytest.raises(ValueError, match="does not match D=4"):
+        star_term(x1x3, x2, s3)
+
+
+@pytest.mark.parametrize("D", [2, 4])
+@pytest.mark.parametrize("theta", [1.0, 0.3, 2.0])
+def test_kernel_shifts_keep_their_bits(D, theta):
+    # the right shift is stored as the negation of the left one; it must equal
+    # -Theta k / 2 computed directly, signed zeros included
+    s = SymplecticStructure(D, theta)
+    rng = np.random.default_rng(D)
+    terms = {}
+    for _ in range(40):
+        k = rng.uniform(-3.0, 3.0, D) * (rng.random(D) < 0.7)  # some exact zeros
+        k[rng.integers(D)] = rng.integers(-8, 9) / 4.0 or 0.5
+        terms[(tuple(int(a) for a in rng.integers(0, 3, D)), tuple(k))] = 1.0
+    wave_terms = 0
+    for alpha, k, _c, _has_monomial, wave in MoyalElement(s, terms).kernel():
+        if wave is None:
+            continue
+        wave_terms += 1
+        _on_grid, left, right = wave
+        want_left, want_right = [0.0] * D, [0.0] * D
+        for i, j, t in s._planes:
+            want_left[i], want_left[j] = 0.5 * t * k[j], -0.5 * t * k[i]
+            want_right[i], want_right[j] = -0.5 * t * k[j], 0.5 * t * k[i]
+        for got, want in ((left, want_left), (right, want_right)):
+            assert list(got) == want
+            assert [copysign(1.0, x) for x in got] == [copysign(1.0, x) for x in want]
+    assert wave_terms > 30
+
+
+def _product_battery(pairs):
+    out = []
+    for a, b in pairs:
+        out.append(_bits(star(a, b)))
+        out.append(_bits(commutator(a, b)))
+        out.append(_bits(anticommutator(a, b)))
+        out.append(_bits(star(star(a, b), a)))
+    return out
+
+
+@pytest.mark.parametrize("D, theta", [(2, 0.3), (2, 1.0), (4, 1.0)])
+def test_kernel_memo_cold_and_warm_agree(D, theta):
+    s = SymplecticStructure(D, theta)
+
+    def build():
+        rng = np.random.default_rng(20 + D)
+        return [(random_element(rng, s), random_element(rng, s)) for _ in range(6)]
+
+    for cache in (_monomial_couple, _shifted_couple, _cached_shift):
+        cache.cache_clear()
+    pairs = build()
+    cold = _product_battery(pairs)
+    warm = _product_battery(pairs)  # memoised kernel data, warm caches
+    fresh = _product_battery(build())  # new elements, warm caches
+    assert warm == cold
+    assert fresh == cold
+
+
+def test_shared_shift_cache_is_never_mutated(monkeypatch):
+    seen = {}
+
+    def recording(alpha, v):
+        seen[(alpha, v)] = None
+        return _cached_shift(alpha, v)
+
+    monkeypatch.setattr("moyalcalc.elements._cached_shift", recording)
+    rng = np.random.default_rng(9)
+    for s in (SymplecticStructure(2, 0.3), SymplecticStructure(4, 1.0)):
+        seen.clear()
+        _shifted_couple.cache_clear()
+        _cached_shift.cache_clear()
+        _product_battery([(random_element(rng, s), random_element(rng, s)) for _ in range(2)])
+        # every key is still cached, so each lookup below returns the shared dict
+        assert 0 < len(seen) <= _cached_shift.cache_info().maxsize
+        before = _cached_shift.cache_info().hits
+        for alpha, v in seen:
+            assert _cached_shift(alpha, v) == _shift_monomial(alpha, v)
+        assert _cached_shift.cache_info().hits == before + len(seen)
+
+
+def test_kernel_memo_race_between_threads():
+    # threads racing to fill the memo of the same fresh elements must all get
+    # the single-thread bits
+    s = SymplecticStructure(2, 0.3)
+
+    def build():
+        rng = np.random.default_rng(31)
+        return [(random_element(rng, s), random_element(rng, s)) for _ in range(20)]
+
+    want = [_bits(commutator(a, b)) for a, b in build()]
+    pairs = build()
+    results = [None] * 4
+
+    def work(n):
+        results[n] = [_bits(commutator(a, b)) for a, b in pairs]
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * 4
+
+
+def test_element_stays_immutable_with_its_kernel_memo():
+    a = coordinate(S2, 1) + plane_wave(S2, (0.5, -0.25), 2j)
+    data = a.kernel()
+    assert a.kernel() is data  # built once per element
+    for name in ("terms", "structure", "_kernel"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(a, name, None)
+    assert a.kernel() is data
 
 
 # residual lines of ``verify --scope all --dim 2 --seed 1`` as printed before

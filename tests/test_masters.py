@@ -11,6 +11,7 @@ with the derivatives taken by Richardson-extrapolated central differences of
 oracle values.  Nothing here uses the modified-Bessel-K closed form.
 """
 
+import functools
 import math
 
 import mpmath
@@ -23,6 +24,13 @@ from moyalcalc import LoopConfig, bessel_m, master_j, master_j_tensor
 mpmath.mp.dps = 20
 
 
+@functools.cache
+def _besseljzero(nu, n, prec):
+    # every oracle call walks the same zeros of J_nu; ``prec`` keys the cache
+    # on the working precision the zero is computed at
+    return mpmath.besseljzero(nu, n)
+
+
 def radial_oracle(N, D, m, pt):
     nu = D / 2.0 - 1.0
     ptm = mpmath.mpf(pt)
@@ -31,7 +39,7 @@ def radial_oracle(N, D, m, pt):
         return k ** (D / 2.0) * mpmath.besselj(nu, k * ptm) / (k * k + m * m) ** N
 
     val = mpmath.quadosc(
-        f, [0, mpmath.inf], zeros=lambda n: mpmath.besseljzero(nu, n) / ptm
+        f, [0, mpmath.inf], zeros=lambda n: _besseljzero(nu, n, mpmath.mp.prec) / ptm
     )
     return float(val * ptm ** (1 - D / 2.0) / (2 * mpmath.pi) ** (D / 2.0))
 
@@ -39,10 +47,10 @@ def radial_oracle(N, D, m, pt):
 def radial_oracle_tensor(N, D, m, pt):
     """(delta_coeff, ptpt_coeff) of J_{N,munu} from radial finite differences."""
     h = 0.02 * pt
+    f0 = radial_oracle(N, D, m, pt)
 
     def deriv(hh):
         fp, fm = radial_oracle(N, D, m, pt + hh), radial_oracle(N, D, m, pt - hh)
-        f0 = radial_oracle(N, D, m, pt)
         return (fp - fm) / (2 * hh), (fp - 2 * f0 + fm) / (hh * hh)
 
     d1a, d2a = deriv(h)
