@@ -30,10 +30,19 @@ assembled action density (the potential coefficients -8/(m theta) and
 16/(m theta)^2), not the curvature table, which follows the unrescaled
 generator convention.
 
+T, U and M are the even, odd and even copies of the ungraded d_mu, d_mu and
+X_(mu nu) of the G2 basis (``derivations.g2_basis``).  That correspondence
+lives in one place, the slot table ``_SLOTS``: for each of T, U and M it
+gives the connection component group (A0, A1, G0), the degree and the
+ungraded generator kind.  The generator list, eta, the bracket decomposition,
+component slots, gauge transformations and config loading all read it; only
+J, the odd copy of the unit, is spelled out by hand.
+
 The generic formula, the canonical curvature, the dual-path residual, the gauge
 action, component filling and config loading are the scaffold in
 ``gauge``, shared with the ungraded connections.  The closed component forms
-stay here: they are the independent path of the dual-path check.
+stay here: they are the independent path of the dual-path check, so they read
+A0, A1, G0 and phi directly and never go through the slot table.
 """
 
 from __future__ import annotations
@@ -41,7 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import gauge
-from .derivations import BracketDecomposition, decompose_eta_combination, eta, sym_generator
+from .derivations import (
+    BracketDecomposition,
+    DerivationGenerator,
+    apply_derivation,
+    decompose_eta_combination,
+    eta,
+    g2_basis,
+)
 from .elements import (
     MoyalElement,
     anticommutator,
@@ -175,14 +191,32 @@ class GradedGenerator:
         return f"GradedGenerator({self.name})"
 
 
+# graded kind -> (component group, degree, ungraded G2 generator kind); J, the
+# odd copy of the unit, has no ungraded partner and is handled by hand
+_SLOTS = {"T": ("A0", 0, "partial"), "U": ("A1", 1, "partial"), "M": ("G0", 0, "sym")}
+_GRADED_KIND = {(kind, degree): g for g, (_group, degree, kind) in _SLOTS.items()}
+
+
+def _slot(X: GradedGenerator):
+    """(component group, degree, ungraded generator) of a T, U or M generator."""
+    if X.kind not in _SLOTS:
+        raise ValueError(f"unknown graded generator kind {X.kind!r}")
+    group, degree, kind = _SLOTS[X.kind]
+    return group, degree, DerivationGenerator(X.structure, kind, mu=X.mu, nu=X.nu)
+
+
+def _place(degree: int, a: MoyalElement) -> GradedElement:
+    return odd_part(a) if degree else even_part(a)
+
+
 def graded_generators(s: SymplecticStructure):
     """T_1..T_D, U_1..U_D, M_(mu nu) with mu <= nu, then J."""
-    gens = [GradedGenerator(s, "T", mu=m) for m in range(1, s.D + 1)]
-    gens += [GradedGenerator(s, "U", mu=m) for m in range(1, s.D + 1)]
-    gens += [
-        GradedGenerator(s, "M", mu=m, nu=n)
-        for m in range(1, s.D + 1)
-        for n in range(m, s.D + 1)
+    base = g2_basis(s)
+    gens = [
+        GradedGenerator(s, g, mu=X.mu, nu=X.nu)
+        for g, (_group, _degree, kind) in _SLOTS.items()
+        for X in base
+        if X.kind == kind
     ]
     gens.append(GradedGenerator(s, "J"))
     return gens
@@ -190,49 +224,39 @@ def graded_generators(s: SymplecticStructure):
 
 def graded_eta(X: GradedGenerator) -> GradedElement:
     """eta(Ad_X): (eta_mu, 0), (0, eta_mu), (eta_(mn), 0) or (0, i)."""
-    s = X.structure
-    zero = MoyalElement(s, {})
-    if X.kind == "T":
-        return GradedElement(1j * xi(s, X.mu), zero)
-    if X.kind == "U":
-        return GradedElement(zero, 1j * xi(s, X.mu))
-    if X.kind == "M":
-        return GradedElement(eta(sym_generator(s, X.mu, X.nu)), zero)
     if X.kind == "J":
-        return GradedElement(zero, unit(s, 1j))
-    raise ValueError(f"unknown graded generator kind {X.kind!r}")
+        return odd_part(unit(X.structure, 1j))
+    _group, degree, G = _slot(X)
+    return _place(degree, eta(G))
+
+
+def _lift(part: MoyalElement, degree: int) -> list:
+    """The eta terms of one part of a bracket value as graded generators of ``degree``."""
+    if part.is_zero():
+        return []
+    dec = decompose_eta_combination(part)
+    kinds = [_GRADED_KIND.get((G.kind, degree)) for _c, G in dec.terms]
+    if abs(dec.central) > 1e-12 or None in kinds:
+        raise ValueError(f"degree-{degree} part is not a combination of graded generators")
+    return [
+        (c, GradedGenerator(part.structure, g, mu=G.mu, nu=G.nu))
+        for (c, G), g in zip(dec.terms, kinds)
+    ]
 
 
 def decompose_graded(value: GradedElement) -> BracketDecomposition:
-    """Project a bracket value onto {unit, T, U, M, J} by monomial matching."""
+    """Project a bracket value onto {unit, T, U, M, J} by monomial matching.
+
+    The even part is central + T + M and the odd part J + U, each through the
+    ungraded decomposition mapped back by the slot table.
+    """
     s = value.structure
     central = value.even.constant_part()
-    gens = []
-
-    # even part: linear -> T, quadratic -> M (reuse the ungraded machinery)
-    even_rest = value.even - central * unit(s)
-    if not even_rest.is_zero():
-        dec = decompose_eta_combination(even_rest)
-        if abs(dec.central) > 1e-12:
-            raise ValueError("graded decomposition left an even constant behind")
-        for c, g in dec.terms:
-            if g.kind == "partial":
-                gens.append((c, GradedGenerator(s, "T", mu=g.mu)))
-            else:
-                gens.append((c, GradedGenerator(s, "M", mu=g.mu, nu=g.nu)))
-
-    # odd part: constant -> J, linear -> U
+    gens = _lift(value.even - central * unit(s), 0)
     odd_const = value.odd.constant_part()
     if abs(odd_const) > 1e-13 * max(1.0, value.norm()):
         gens.append((odd_const / 1j, GradedGenerator(s, "J")))
-    odd_rest = value.odd - odd_const * unit(s)
-    if not odd_rest.is_zero():
-        dec = decompose_eta_combination(odd_rest)
-        if abs(dec.central) > 1e-12 or any(g.kind != "partial" for _c, g in dec.terms):
-            raise ValueError("odd part is not a combination of eta_mu and i")
-        for c, g in dec.terms:
-            gens.append((c, GradedGenerator(s, "U", mu=g.mu)))
-
+    gens += _lift(value.odd - odd_const * unit(s), 1)
     return BracketDecomposition(central=complex(central), terms=tuple(gens))
 
 
@@ -320,25 +344,21 @@ class GradedConnectionForm:
         s = self.structure
         if self.m_scale <= 0:
             raise ValueError("the mass scale m must be positive")
-        dnames = [f"d{m}" for m in range(1, s.D + 1)]
-        xnames = [f"X{m}{n}" for m in range(1, s.D + 1) for n in range(m, s.D + 1)]
-        unknown = "unknown component names"
-        for group, names in (("A0", dnames), ("A1", dnames), ("G0", xnames)):
-            comps = gauge.fill_components(getattr(self, group), names, s, unknown)
+        base = g2_basis(s)
+        for group, _degree, kind in _SLOTS.values():
+            names = [X.name for X in base if X.kind == kind]
+            comps = gauge.fill_components(
+                getattr(self, group), names, s, "unknown component names"
+            )
             object.__setattr__(self, group, comps)
         object.__setattr__(self, "phi", self.phi if self.phi is not None else MoyalElement(s, {}))
         self.phi.structure.check_compatible(s)
 
     def component(self, X: GradedGenerator) -> GradedElement:
-        s = self.structure
-        zero = MoyalElement(s, {})
-        if X.kind == "T":
-            return GradedElement(self.A0[f"d{X.mu}"], zero)
-        if X.kind == "U":
-            return GradedElement(zero, self.A1[f"d{X.mu}"])
-        if X.kind == "M":
-            return GradedElement(self.G0[f"X{X.mu}{X.nu}"], zero)
-        return GradedElement(zero, self.phi)
+        if X.kind == "J":
+            return odd_part(self.phi)
+        group, degree, G = _slot(X)
+        return _place(degree, getattr(self, group)[G.name])
 
 
 def _calA(A: GradedConnectionForm, X: GradedGenerator) -> GradedElement:
@@ -390,9 +410,6 @@ def graded_curvature(A: GradedConnectionForm) -> dict:
     """
     s = A.structure
     Ti = s.ThetaInv
-    zero = MoyalElement(s, {})
-    gens = graded_generators(s)
-
     axes = range(1, s.D + 1)
     cov_t = {m: A.A0[f"d{m}"] - xi(s, m) for m in axes}
     cov_u = {m: A.A1[f"d{m}"] - xi(s, m) for m in axes}
@@ -405,58 +422,43 @@ def graded_curvature(A: GradedConnectionForm) -> dict:
 
     Phi = A.phi - unit(s)
     out = {}
-    for X, Y in gauge.pair_iter(gens):
+    for X, Y in gauge.pair_iter(graded_generators(s)):
         kinds = (X.kind, Y.kind)
         if kinds == ("T", "T"):
-            val = GradedElement(
-                -commutator(cov_t[X.mu], cov_t[Y.mu])
-                - 1j * Ti[X.mu - 1, Y.mu - 1] * unit(s),
-                zero,
+            val = even_part(
+                -commutator(cov_t[X.mu], cov_t[Y.mu]) - 1j * Ti[X.mu - 1, Y.mu - 1] * unit(s)
             )
         elif kinds == ("U", "U"):
-            val = GradedElement(
-                -anticommutator(cov_u[X.mu], cov_u[Y.mu]) - 2.0 * covM(X.mu, Y.mu),
-                zero,
+            val = even_part(
+                -anticommutator(cov_u[X.mu], cov_u[Y.mu]) - 2.0 * covM(X.mu, Y.mu)
             )
         elif kinds == ("J", "J"):
-            val = GradedElement(-2.0 * star(Phi, Phi) + 2.0 * unit(s), zero)
+            val = even_part(-2.0 * star(Phi, Phi) + 2.0 * unit(s))
         elif kinds == ("T", "J"):
-            val = GradedElement(zero, -commutator(cov_t[X.mu], Phi))
+            val = odd_part(-commutator(cov_t[X.mu], Phi))
         elif kinds == ("U", "J"):
-            val = GradedElement(
-                -anticommutator(cov_u[X.mu], Phi) - 2.0 * cov_t[X.mu], zero
-            )
+            val = even_part(-anticommutator(cov_u[X.mu], Phi) - 2.0 * cov_t[X.mu])
         elif kinds == ("M", "J"):
-            val = GradedElement(zero, -commutator(covM(X.mu, X.nu), Phi))
+            val = odd_part(-commutator(covM(X.mu, X.nu), Phi))
         elif kinds == ("T", "U"):
-            val = GradedElement(
-                zero,
-                -commutator(cov_t[X.mu], cov_u[Y.mu])
-                + 1j * Ti[X.mu - 1, Y.mu - 1] * Phi,
+            val = odd_part(
+                -commutator(cov_t[X.mu], cov_u[Y.mu]) + 1j * Ti[X.mu - 1, Y.mu - 1] * Phi
             )
-        elif kinds == ("T", "M"):
-            # stored order is (T, M); use graded antisymmetry of F(M, T)
+        elif kinds in (("T", "M"), ("U", "M")):
+            # stored order is (T, M) or (U, M); use graded antisymmetry of
+            # F(M, T) and F(M, U), which sit in the part of X's degree
+            cov = cov_u if X.degree else cov_t
             m, n, r = Y.mu, Y.nu, X.mu
-            fmt = GradedElement(
-                -commutator(covM(m, n), cov_t[r])
-                + 1j * Ti[n - 1, r - 1] * cov_t[m]
-                + 1j * Ti[m - 1, r - 1] * cov_t[n],
-                zero,
+            f_m = (
+                -commutator(covM(m, n), cov[r])
+                + 1j * Ti[n - 1, r - 1] * cov[m]
+                + 1j * Ti[m - 1, r - 1] * cov[n]
             )
-            val = -1.0 * fmt
-        elif kinds == ("U", "M"):
-            m, n, r = Y.mu, Y.nu, X.mu
-            fmu = GradedElement(
-                zero,
-                -commutator(covM(m, n), cov_u[r])
-                + 1j * Ti[n - 1, r - 1] * cov_u[m]
-                + 1j * Ti[m - 1, r - 1] * cov_u[n],
-            )
-            val = -1.0 * fmu
+            val = -1.0 * _place(X.degree, f_m)
         elif kinds == ("M", "M"):
             m, n = X.mu, X.nu
             r, t = Y.mu, Y.nu
-            val = GradedElement(
+            val = even_part(
                 -commutator(covM(m, n), covM(r, t))
                 + 1j
                 * (
@@ -464,8 +466,7 @@ def graded_curvature(A: GradedConnectionForm) -> dict:
                     + Ti[n - 1, r - 1] * covM(m, t)
                     + Ti[m - 1, t - 1] * covM(n, r)
                     + Ti[m - 1, r - 1] * covM(n, t)
-                ),
-                zero,
+                )
             )
         else:
             raise AssertionError(f"unhandled pair {kinds}")
@@ -491,18 +492,15 @@ def graded_gauge_transform(
         raise ValueError("graded gauge elements must have degree 0")
     g0 = g.even
     act = gauge.unitary_action(g0, tol, "gauge transformations require a unitary even part")
-    s = A.structure
-    A0, A1, G0 = {}, {}, {}
-    for m in range(1, s.D + 1):
-        # the exact derivative, not the commutator [eta_m, g0], which can be
-        # an ulp off at non-dyadic theta
-        dg = partial(m, g0)
-        A0[f"d{m}"] = act(A.A0[f"d{m}"], dg)
-        A1[f"d{m}"] = act(A.A1[f"d{m}"], dg)
-        for n in range(m, s.D + 1):
-            emn = eta(sym_generator(s, m, n))
-            G0[f"X{m}{n}"] = act(A.G0[f"X{m}{n}"], commutator(emn, g0))
-    return replace(A, A0=A0, A1=A1, G0=G0, phi=act(A.phi))
+    base = g2_basis(A.structure)
+    # d_mu takes the exact derivative, not the commutator [eta_mu, g0], which
+    # can be an ulp off at non-dyadic theta
+    xg = {X.name: apply_derivation(X, g0) for X in base}
+    comps = {
+        group: {X.name: act(getattr(A, group)[X.name], xg[X.name]) for X in base if X.kind == kind}
+        for group, _degree, kind in _SLOTS.values()
+    }
+    return replace(A, **comps, phi=act(A.phi))
 
 
 def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
@@ -521,15 +519,12 @@ def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
     are free; F_mn = d_m A_n - d_n A_m - i [A_m, A_n].
     """
     s = A.structure
-    for m in range(1, s.D + 1):
-        if not (A.A0[f"d{m}"] - A.A1[f"d{m}"]).is_zero(1e-12):
+    # d_mu precede X_(mu nu) in the G2 basis, so A0 = A1 is checked first
+    for X in g2_basis(s):
+        if X.kind == "partial" and not (A.A0[X.name] - A.A1[X.name]).is_zero(1e-12):
             raise ValueError("graded action density requires A0 = A1")
-    for m in range(1, s.D + 1):
-        for n in range(m, s.D + 1):
-            if not (A.G0[f"X{m}{n}"] - _xi_xi(s, m, n)).is_zero(1e-12):
-                raise ValueError(
-                    "graded action density requires vanishing covariant M components"
-                )
+        if X.kind == "sym" and not (A.G0[X.name] - _xi_xi(s, X.mu, X.nu)).is_zero(1e-12):
+            raise ValueError("graded action density requires vanishing covariant M components")
 
     phi = A.phi
     mtheta = A.m_scale * s.theta
@@ -594,11 +589,7 @@ def graded_connection_from_config(cfg: dict, parse=None) -> GradedConnectionForm
     """
     s = gauge.structure_from_config(cfg, "graded")
     phi = gauge.parse_components({"phi": cfg.get("phi")}, s, parse)["phi"]
-    return GradedConnectionForm(
-        s,
-        A0=gauge.parse_components(cfg.get("A0"), s, parse),
-        A1=gauge.parse_components(cfg.get("A1"), s, parse),
-        G0=gauge.parse_components(cfg.get("G0"), s, parse),
-        phi=phi,
-        m_scale=float(cfg.get("m", 1.0)),
-    )
+    groups = {
+        group: gauge.parse_components(cfg.get(group), s, parse) for group, *_ in _SLOTS.values()
+    }
+    return GradedConnectionForm(s, **groups, phi=phi, m_scale=float(cfg.get("m", 1.0)))

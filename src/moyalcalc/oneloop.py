@@ -87,10 +87,10 @@ class LoopConfig:
     def __post_init__(self):
         if self.D not in (2, 4):
             raise ValueError("supported dimensions are D in {2, 4}")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-        if self.mu_mass < 0:
-            raise ValueError("mu_mass must be nonnegative")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not 0 <= self.mu_mass < math.inf:
+            raise ValueError("mu_mass must be nonnegative and finite")
         if self.n_higgs is None:
             object.__setattr__(self, "n_higgs", self.D * (self.D + 1) // 2)
         if self.n_higgs < 0:

@@ -43,8 +43,8 @@ class SymplecticStructure:
     def __post_init__(self):
         if self.D < 2 or self.D % 2 != 0:
             raise ValueError(f"D must be a positive even integer, got {self.D}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not 0 < self.theta < np.inf:
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
         sigma = _sigma(self.D)
         object.__setattr__(self, "Theta", self.theta * sigma)
         # Sigma^{-1} = -Sigma = Sigma^T for this block form

@@ -343,10 +343,10 @@ def verify_connections(D: int, theta: float, seed: int, n_random: int = 20) -> l
 
     Finv = conn.canonical_curvature(s, "G2")
     worst = 0.0
-    for (n1, n2), val in Finv.entries.items():
-        if n1.startswith("d") and n2.startswith("d"):
-            m, n = int(n1[1:]), int(n2[1:])
-            expect = -1j * s.ThetaInv[m - 1, n - 1] * unit(s)
+    for X, Y in pair_iter(g2_basis(s)):
+        val = Finv.entries[(X.name, Y.name)]
+        if X.kind == "partial" and Y.kind == "partial":
+            expect = -1j * s.ThetaInv[X.mu - 1, Y.mu - 1] * unit(s)
         else:
             expect = MoyalElement(s, {})
         worst = max(worst, (val - expect).norm())

@@ -52,6 +52,28 @@ def test_star_overflowing_coefficients_exit_2(left, right, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--dim", "2", "--theta", "inf", "x1", "x2"],
+        ["verify", "--dim", "2", "--theta", "inf"],
+        ["curvature"],
+        ["oneloop", "--dim", "2", "--theta", "inf"],
+        ["oneloop", "--dim", "2", "--mu", "nan"],
+        ["oneloop", "--dim", "2", "--mu", "inf"],
+    ],
+)
+def test_non_finite_parameters_exit_2(argv, tmp_path, capsys):
+    if argv == ["curvature"]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"D": 2, "theta": Infinity, "components": {"d1": "x1"}}')
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+
+
 def test_verify_core_passes(capsys):
     code, out, _ = run_cli(
         ["verify", "--scope", "core", "--dim", "2", "--seed", "3"], capsys
@@ -129,6 +151,31 @@ _GRADED_CFG = {
     "A1": {"d1": "x2"},
 }
 
+# D=4 tables pin the generator order of both bases and, through their nonzero
+# residuals, the generic-path bits at four dimensions
+_CONN_CFG_D4 = {
+    "D": 4,
+    "theta": 0.75,
+    "mu": 0.7,
+    "alpha": 1.0,
+    "basis": "G2",
+    "components": {
+        "d1": "0.3 W[1.0,0.5,0,0] + x1",
+        "d4": "x2 x3",
+        "X13": "x1 x4",
+        "X22": "0.5 W[0,0.25,-0.5,0]",
+    },
+}
+_GRADED_CFG_D4 = {
+    "D": 4,
+    "theta": 0.3,
+    "m": 1.0,
+    "phi": "0.3 + 0.2 W[0.5,0.5,0,0] + 0.2 W[-0.5,-0.5,0,0]",
+    "A0": {"d1": "x2", "d3": "0.5 W[0,0,0.25,0.5]"},
+    "A1": {"d1": "x2", "d4": "x1 x3"},
+    "G0": {"X12": "x1 x2", "X34": "0.25 W[0.5,0,0,-0.5]"},
+}
+
 
 @pytest.mark.parametrize(
     "command, cfg, flags, digest",
@@ -141,6 +188,10 @@ _GRADED_CFG = {
          "cc11d42969d9948b4cdaca965905ade20aaf158f0af5693601e043e91d251fac"),
         ("graded", _GRADED_CFG, ["--theta", "0.3"],
          "5df6d89b24e4e22f8973277cbcc2be96223fd28b4f675cb58a093794745174ee"),
+        ("curvature", _CONN_CFG_D4, [],
+         "868e1300b2c70b03f3f006334ea43844a42c7ad11334459b2d742fc7e445a18b"),
+        ("graded", _GRADED_CFG_D4, [],
+         "b6eb15ca87d23ec69f061ddb1d261cdf34a604498b5acd28b71df27168255cd2"),
     ],
 )
 def test_table_output_pinned(command, cfg, flags, digest, tmp_path, capsys):

@@ -26,11 +26,19 @@ from moyalcalc import (
 )
 
 
-def schwinger_oracle_projections(i, cfg):
-    """(ptpt_proj, pp_proj, oo_proj) of the nonplanar part of omega_i.
+def schwinger_integrands(i, cfg):
+    """Prefactor, projection vectors and (u, v) integrands of the nonplanar part of omega_i.
 
-    Projections onto the unit vectors ptilde-hat, p-hat and a direction
-    orthogonal to both (for D = 4).
+    The vectors are the unit vectors ptilde-hat, p-hat and a direction
+    orthogonal to both (for D = 4).  ``tensor(u, v)`` is the full D x D
+    integrand with s = u v, t = u (1 - v), built from the Gaussian k-moments
+    as tensors; it is the slow reference.  ``projection(w)`` returns the
+    integrand of w . tensor . w in closed scalar form: every tensor is a
+    multiple of the identity or an outer product of p and
+    delta = (i ptilde - 2 t p) / 2a, so its projection is a product of w.w,
+    w.p and w.delta = (i w.ptilde - 2 t w.p) / 2a.  p.ptilde = p Theta p
+    vanishes, so delta.delta = (4 t^2 p^2 - ptilde^2) / 4a^2 and
+    delta.p = -t p^2 / a.
     """
     D = cfg.D
     p = np.asarray(cfg.p)
@@ -47,12 +55,15 @@ def schwinger_oracle_projections(i, cfg):
     else:
         raise ValueError("the Schwinger oracle covers the bubble diagrams")
 
+    def gauss(s, t):
+        a = s + t
+        expo = -s * m1s - t * m2s - pt2 / (4 * a) - (s * t / a) * p2
+        return (math.pi / a) ** (D / 2) / (2 * math.pi) ** D * math.exp(expo)
+
     def tensor(u, v):
         s, t = u * v, u * (1 - v)
         a = s + t
         delta = (1j * ptv - 2 * t * p) / (2 * a)
-        expo = -s * m1s - t * m2s - pt2 / (4 * a) - (s * t / a) * p2
-        gauss = (math.pi / a) ** (D / 2) / (2 * math.pi) ** D * math.exp(expo.real)
         kk = np.eye(D) / (2 * a) + np.outer(delta, delta)
         k1 = delta
         k2 = D / (2 * a) + delta @ delta
@@ -73,7 +84,33 @@ def schwinger_oracle_projections(i, cfg):
                 + (2 * D - 3) * (np.outer(p, k1) + np.outer(k1, p))
                 + (4 * D - 6) * kk
             )
-        return gauss * num * u
+        return gauss(s, t) * num * u
+
+    def projection(w):
+        ww, wp, wpt = float(w @ w), float(w @ p), float(w @ ptv)
+
+        def g(u, v):
+            s, t = u * v, u * (1 - v)
+            a = s + t
+            wd = (1j * wpt - 2 * t * wp) / (2 * a)
+            wkkw = ww / (2 * a) + wd * wd
+            if i == 2:
+                num = wkkw
+            elif i == 4:
+                num = wp * wp + 4 * wp * wd + 4 * wkkw
+            else:
+                k2 = D / (2 * a) + (4 * t * t * p2 - pt2) / (4 * a * a)
+                kp = -t * p2 / a
+                scal = (k2 - 2 * kp + p2) + (k2 + 4 * kp + 4 * p2)
+                num = (
+                    scal * ww
+                    + (D - 6) * wp * wp
+                    + (2 * D - 3) * 2 * wp * wd
+                    + (4 * D - 6) * wkkw
+                )
+            return gauss(s, t) * num.real * u
+
+        return g
 
     phat = p / math.sqrt(p2)
     pthat = ptv / math.sqrt(pt2)
@@ -81,14 +118,33 @@ def schwinger_oracle_projections(i, cfg):
     if D > 2:
         q, _ = np.linalg.qr(np.concatenate([np.stack([phat, pthat]).T, np.eye(D)], axis=1))
         vecs["oo"] = q[:, 2]
+    return pref, vecs, tensor, projection
+
+
+def schwinger_oracle_projections(i, cfg):
+    """(ptpt_proj, pp_proj, oo_proj) of the nonplanar part of omega_i."""
+    pref, vecs, _tensor, projection = schwinger_integrands(i, cfg)
     out = {}
     for name, vec in vecs.items():
-        def g(u, v):
-            return float(np.real(vec @ tensor(u, v) @ vec))
-
-        val, _err = integrate.dblquad(g, 0, 1, 0, np.inf, epsabs=1e-11, epsrel=1e-9)
+        val, _err = integrate.dblquad(
+            projection(vec), 0, 1, 0, np.inf, epsabs=1e-11, epsrel=1e-9
+        )
         out[name] = -0.5 * pref * val
     return out
+
+
+@pytest.mark.parametrize("i", [1, 2, 4])
+def test_scalar_projection_matches_tensor_integrand(i):
+    """The closed scalar projection used by the oracle equals vec . tensor . vec."""
+    cfg = LoopConfig(
+        D=4, theta=1.0, n_higgs=10, mu_mass=1.0, p=(0.03, 0.02, -0.015, 0.01)
+    )
+    _pref, vecs, tensor, projection = schwinger_integrands(i, cfg)
+    for vec in vecs.values():
+        g = projection(vec)
+        for u, v in ((0.1, 0.0), (0.5, 0.3), (1.0, 0.5), (7.0, 0.9), (60.0, 1.0)):
+            ref = float(np.real(vec @ tensor(u, v) @ vec))
+            assert abs(g(u, v) - ref) <= 1e-12 * abs(ref) + 1e-300, (i, u, v)
 
 
 @pytest.mark.parametrize("i", [1, 2, 4])

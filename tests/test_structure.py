@@ -24,6 +24,10 @@ def test_bad_dimensions_rejected():
         SymplecticStructure(0)
     with pytest.raises(ValueError):
         SymplecticStructure(2, theta=-1.0)
+    with pytest.raises(ValueError):
+        SymplecticStructure(2, theta=float("inf"))
+    with pytest.raises(ValueError):
+        SymplecticStructure(2, theta=float("nan"))
 
 
 def test_wedge_antisymmetry_and_values():
