@@ -40,6 +40,7 @@ here: they are the independent path of the dual-path check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import gauge
@@ -91,8 +92,8 @@ class ConnectionForm:
     alpha_coupling: float = 1.0
 
     def __post_init__(self):
-        if self.mu_scale <= 0 or self.alpha_coupling <= 0:
-            raise ValueError("mu_scale and alpha_coupling must be positive")
+        if not (0 < self.mu_scale < math.inf and 0 < self.alpha_coupling < math.inf):
+            raise ValueError("mu_scale and alpha_coupling must be positive and finite")
         names = [X.name for X in self.generators()]
         comps = gauge.fill_components(
             self.components, names, self.structure, "components for unknown generators"

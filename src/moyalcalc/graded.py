@@ -47,6 +47,7 @@ A0, A1, G0 and phi directly and never go through the slot table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import gauge
@@ -342,8 +343,8 @@ class GradedConnectionForm:
 
     def __post_init__(self):
         s = self.structure
-        if self.m_scale <= 0:
-            raise ValueError("the mass scale m must be positive")
+        if not 0 < self.m_scale < math.inf:
+            raise ValueError("the mass scale m must be positive and finite")
         base = g2_basis(s)
         for group, _degree, kind in _SLOTS.values():
             names = [X.name for X in base if X.kind == kind]

@@ -14,10 +14,13 @@ pt^{2Q} as m pt -> 0, exactly reproducing the massless integrals.
 
 The five polarisation integrands are implemented verbatim; their nonplanar
 parts replace sin^2(p^k / 2) -> -cos(p^k)/2, are Feynman-parametrised, and
-reduce to the master integrals with the shifted-numerator polynomials worked
-out once and for all below.  Each nonplanar tensor decomposes exactly as
+reduce to the master integrals.  Each nonplanar tensor decomposes exactly as
 
     delta_coefficient * I  +  pp_coefficient * p p  +  ptpt_coefficient * pt pt.
+
+The tadpoles (diagrams 3, 5) are closed forms.  Each bubble (1, 2, 4) is
+defined once, by its shifted numerator in the table ``_shifted_numerator``;
+one Feynman-parameter routine derives all three structures from it.
 
 The displayed integrands carry no combinatorial loop factors.  Summing them
 verbatim does not reproduce the quoted IR singularity; the standard one-loop
@@ -91,6 +94,8 @@ class LoopConfig:
             raise ValueError("theta must be positive and finite")
         if not 0 <= self.mu_mass < math.inf:
             raise ValueError("mu_mass must be nonnegative and finite")
+        if not 0 <= self.ir_regulator < math.inf:
+            raise ValueError("ir_regulator must be nonnegative and finite")
         if self.n_higgs is None:
             object.__setattr__(self, "n_higgs", self.D * (self.D + 1) // 2)
         if self.n_higgs < 0:
@@ -117,7 +122,7 @@ class LoopResult:
 
     value: object  # complex scalar or ndarray
     abs_error: float
-    method: str  # closed_form_bessel | quadrature_oracle | small_p_fit
+    method: str  # closed_form_bessel | small_p_fit
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -291,13 +296,20 @@ def _a_nd(N: int, D: int) -> float:
     return 2.0 ** (-(D / 2.0 + N - 1)) / (gamma_fn(N) * math.pi ** (D / 2.0))
 
 
-def master_j(N: int, cfg: LoopConfig, m: float, ptilde) -> LoopResult:
-    """J_N(ptilde) = int d^Dk e^{ik.pt} / (2pi)^D (k^2+m^2)^N, closed form."""
-    pt = float(np.linalg.norm(np.asarray(ptilde, dtype=float)))
+def _master_args(N: int, ptilde):
+    """ptilde as an array and its norm, after checking N >= 1 and ptilde != 0."""
+    ptv = np.asarray(ptilde, dtype=float)
+    pt = float(np.linalg.norm(ptv))
     if N < 1:
         raise ValueError("N must be >= 1")
     if pt <= 0:
         raise ValueError("ptilde must be nonzero")
+    return ptv, pt
+
+
+def master_j(N: int, cfg: LoopConfig, m: float, ptilde) -> LoopResult:
+    """J_N(ptilde) = int d^Dk e^{ik.pt} / (2pi)^D (k^2+m^2)^N, closed form."""
+    _ptv, pt = _master_args(N, ptilde)
     D = cfg.D
     if m == 0.0 and N - D / 2.0 >= 0:
         raise ValueError("the massless closed form needs N < D/2")
@@ -307,12 +319,7 @@ def master_j(N: int, cfg: LoopConfig, m: float, ptilde) -> LoopResult:
 
 def master_j_tensor(N: int, cfg: LoopConfig, m: float, ptilde) -> LoopResult:
     """J_{N,munu} as the D x D matrix delta*A - ptpt*B (closed form)."""
-    ptv = np.asarray(ptilde, dtype=float)
-    pt = float(np.linalg.norm(ptv))
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if pt <= 0:
-        raise ValueError("ptilde must be nonzero")
+    ptv, pt = _master_args(N, ptilde)
     D = cfg.D
     A = _a_nd(N, D) * bessel_m(N - 1 - D / 2.0, m, pt)
     B = _a_nd(N, D) * bessel_m(N - 2 - D / 2.0, m, pt)
@@ -332,18 +339,88 @@ def master_j_tensor(N: int, cfg: LoopConfig, m: float, ptilde) -> LoopResult:
 _QUAD_OPTS = dict(epsabs=1e-8, epsrel=1e-10, limit=200)
 
 
-def _omega1_even_coeffs(x: float, D: int, p2: float):
-    """Even-in-q numerator of omega1 after the shift k = q - (1-x) p.
+def _shifted_numerator(i: int, D: int, n_higgs: int):
+    """The even-in-q numerator of bubble diagram i (1, 2 or 4) after k = q - (1-x) p.
 
-    Returns (c_q2, c_p2, c_pp, c_qq): coefficients of q^2*delta, p^2*delta,
-    p_mu p_nu and q_mu q_nu.
+    Returns (c_qq, coeffs): c_qq multiplies q_mu q_nu and does not depend on
+    x; coeffs(x) gives the coefficients of q^2 delta, p^2 delta and p_mu p_nu.
+    The verbatim prefactor 4 is divided out, so diagram 4 carries N_higgs.
+    This is the one place each bubble is defined: the delta, pp and ptpt
+    integrands of ``_structures`` are all derived from it.
     """
-    c = 1.0 - x
-    c_q2 = 2.0
-    c_p2 = (c + 1.0) ** 2 + (2.0 - c) ** 2
-    c_pp = (D - 6.0) - 2.0 * c * (2.0 * D - 3.0) + c * c * (4.0 * D - 6.0)
-    c_qq = 4.0 * D - 6.0
-    return c_q2, c_p2, c_pp, c_qq
+    if i == 1:
+        def coeffs(x):
+            c = 1.0 - x
+            return (
+                2.0,
+                (c + 1.0) ** 2 + (2.0 - c) ** 2,
+                (D - 6.0) - 2.0 * c * (2.0 * D - 3.0) + c * c * (4.0 * D - 6.0),
+            )
+
+        return 4.0 * D - 6.0, coeffs
+    if i == 2:
+        return 1.0, lambda x: (0.0, 0.0, (1.0 - x) ** 2)
+    return 4.0 * n_higgs, lambda x: (0.0, 0.0, n_higgs * (2.0 * x - 1.0) ** 2)
+
+
+def _structures(i: int, cfg: LoopConfig, names: tuple) -> dict:
+    """(value, error) of the named structures ("delta", "pp", "ptpt") of omega_i.
+
+    The mass rule: the gauge loops (1-3) carry ir_regulator, the Higgs loops
+    (4, 5) mu_mass.  The tadpoles (3, 5) are closed forms with a delta part
+    only.  A bubble's structures are Feynman-parameter integrals of its
+    shifted numerator: with sin^2 -> -cos/2 each q^2, p^2, pp or qq term
+    becomes -2 times its coefficient times a J_1 or J_2 master at mass m(x),
+    and the qq term gives J_{2,munu}, whose ptpt part is 2 c_qq a_{2,D}
+    M_{-D/2}.  Asking for delta or pp where the massless D = 2 loop diverges
+    raises; ptpt alone is finite for every diagram and dimension.
+    """
+    D = cfg.D
+    base2 = cfg.mu_mass**2 if i in (4, 5) else cfg.ir_regulator**2
+    if names != ("ptpt",) and D == 2 and base2 == 0.0 and (i != 4 or cfg.n_higgs > 0):
+        knob = "mu_mass" if i in (4, 5) else "ir_regulator"
+        raise ValueError(
+            f"omega{i} is infrared divergent for a massless D = 2 loop; "
+            f"set {knob} or use the ptpt projection only"
+        )
+    out = dict.fromkeys(names, (0.0, 0.0))
+    if i in (3, 5) and "delta" not in names:
+        return out
+    p = np.asarray(cfg.p)
+    p2 = float(p @ p)
+    pt = float(np.linalg.norm(cfg.ptilde()))
+    if i in (3, 5):
+        coef = -4.0 * (D - 1) if i == 3 else 2.0 * cfg.n_higgs
+        val = coef * _a_nd(1, D) * bessel_m(1 - D / 2.0, math.sqrt(base2), pt)
+        out["delta"] = (val, 1e-12 * abs(val))
+        return out
+
+    c_qq, coeffs = _shifted_numerator(i, D, cfg.n_higgs)
+    a1, a2 = _a_nd(1, D), _a_nd(2, D)
+
+    def delta(x):
+        c_q2, c_p2, _c_pp = coeffs(x)
+        m2 = base2 + x * (1.0 - x) * p2
+        m = math.sqrt(m2)
+        b1 = bessel_m(1 - D / 2.0, m, pt)
+        j2 = a2 * bessel_m(2 - D / 2.0, m, pt)
+        return -2.0 * (c_q2 * (a1 * b1 - m2 * j2) + c_p2 * p2 * j2 + c_qq * (a2 * b1))
+
+    def pp(x):
+        m = math.sqrt(base2 + x * (1.0 - x) * p2)
+        return -2.0 * coeffs(x)[2] * (a2 * bessel_m(2 - D / 2.0, m, pt))
+
+    ptpt_coef = 2.0 * c_qq * a2
+
+    def ptpt(x):
+        m = math.sqrt(base2 + x * (1.0 - x) * p2)
+        return ptpt_coef * bessel_m(-D / 2.0, m, pt)
+
+    kernels = {"delta": delta, "pp": pp, "ptpt": ptpt}
+    for name in names:
+        val, err = integrate.quad(kernels[name], 0.0, 1.0, **_QUAD_OPTS)
+        out[name] = (val, err)
+    return out
 
 
 def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
@@ -353,114 +430,13 @@ def nonplanar_structures(i: int, cfg: LoopConfig) -> dict:
     tensor is delta*I + pp * p p + ptpt * pt pt.  The Feynman-parameter
     integrals are evaluated adaptively; entries that are infrared divergent
     raise: the massless D = 2 gauge integrals (diagrams 1-3) when no regulator
-    is set, and the D = 2 Higgs bubble (diagram 4) when mu_mass is 0.
+    is set, and the D = 2 Higgs loops (diagrams 4, 5) when mu_mass is 0.
     """
     if i not in (1, 2, 3, 4, 5):
         raise ValueError("diagram index must be in 1..5")
     if cfg.p is None or not np.any(np.asarray(cfg.p)):
         raise ValueError("nonplanar extraction needs a nonzero external momentum")
-    D = cfg.D
-    p = np.asarray(cfg.p)
-    p2 = float(p @ p)
-    pt = float(np.linalg.norm(cfg.ptilde()))
-    NH = cfg.n_higgs
-    mu2 = cfg.mu_mass**2
-    reg2 = cfg.ir_regulator**2
-    a2 = _a_nd(2, D)
-
-    if i in (3, 5):
-        # the gauge tadpole (3) and the Higgs tadpole (5) are closed forms
-        if i == 3 and D == 2 and reg2 == 0.0:
-            raise ValueError(
-                "the massless D = 2 tadpole is infrared divergent; "
-                "set ir_regulator to evaluate it"
-            )
-        coef, mass = (-4.0 * (D - 1), math.sqrt(reg2)) if i == 3 else (2.0 * NH, cfg.mu_mass)
-        val = coef * _a_nd(1, D) * bessel_m(1 - D / 2.0, mass, pt)
-        return {"delta": (val, 1e-12 * abs(val)), "pp": (0.0, 0.0), "ptpt": (0.0, 0.0)}
-
-    if i in (1, 2) and D == 2 and reg2 == 0.0:
-        raise ValueError(
-            f"omega{i} delta/pp structures are infrared divergent for "
-            "massless D = 2 loops; set ir_regulator or use the ptpt "
-            "projection only"
-        )
-    if i == 4 and D == 2 and mu2 == 0.0 and NH > 0:
-        raise ValueError(
-            "omega4 pp structure is infrared divergent for a massless D = 2 "
-            "Higgs loop; set mu_mass or use the ptpt projection only"
-        )
-    base2 = reg2 if i in (1, 2) else mu2
-
-    def msq(x):
-        return base2 + x * (1.0 - x) * p2
-
-    def j1(x):
-        return _a_nd(1, D) * bessel_m(1 - D / 2.0, math.sqrt(msq(x)), pt)
-
-    def j2(x):
-        return a2 * bessel_m(2 - D / 2.0, math.sqrt(msq(x)), pt)
-
-    def j2_delta(x):
-        return a2 * bessel_m(1 - D / 2.0, math.sqrt(msq(x)), pt)
-
-    if i == 1:
-        def kern_delta(x):
-            c_q2, c_p2, _c_pp, c_qq = _omega1_even_coeffs(x, D, p2)
-            return -2.0 * (
-                c_q2 * (j1(x) - msq(x) * j2(x))
-                + c_p2 * p2 * j2(x)
-                + c_qq * j2_delta(x)
-            )
-
-        def kern_pp(x):
-            _c_q2, _c_p2, c_pp, _c_qq = _omega1_even_coeffs(x, D, p2)
-            return -2.0 * c_pp * j2(x)
-
-    elif i == 2:
-        def kern_delta(x):
-            return -2.0 * j2_delta(x)
-
-        def kern_pp(x):
-            return -2.0 * (1.0 - x) ** 2 * j2(x)
-
-    else:  # i == 4
-        def kern_delta(x):
-            return -8.0 * NH * j2_delta(x)
-
-        def kern_pp(x):
-            return -2.0 * NH * (2.0 * x - 1.0) ** 2 * j2(x)
-
-    out = {}
-    for name, kern in (("delta", kern_delta), ("pp", kern_pp)):
-        val, err = integrate.quad(kern, 0.0, 1.0, **_QUAD_OPTS)
-        out[name] = (val, err)
-    out["ptpt"] = _ptpt_structure(i, cfg)
-    return out
-
-
-def _ptpt_structure(i: int, cfg: LoopConfig) -> tuple:
-    """The ptpt coefficient (value, error) alone; finite for every diagram and dimension.
-
-    The ptpt part of omega_1, omega_2 and omega_4 is pref * J_{2,ptpt} with
-    J_{2,ptpt}(x) = -a_{2,D} M_{-D/2}(m(x) pt); diagrams 3 and 5 have none.
-    """
-    if i in (3, 5):
-        return (0.0, 0.0)
-    D = cfg.D
-    p = np.asarray(cfg.p)
-    p2 = float(p @ p)
-    pt = float(np.linalg.norm(cfg.ptilde()))
-    base2 = cfg.mu_mass**2 if i == 4 else cfg.ir_regulator**2
-    pref = {1: -2.0 * (4.0 * D - 6.0), 2: -2.0, 4: -8.0 * cfg.n_higgs}[i]
-    a2 = _a_nd(2, D)
-
-    def kern(x):
-        m = math.sqrt(base2 + x * (1.0 - x) * p2)
-        return -pref * a2 * bessel_m(-D / 2.0, m, pt)
-
-    val, err = integrate.quad(kern, 0.0, 1.0, **_QUAD_OPTS)
-    return (val, err)
+    return _structures(i, cfg, ("delta", "pp", "ptpt"))
 
 
 def omega_nonplanar(i: int, cfg: LoopConfig) -> LoopResult:
@@ -497,6 +473,21 @@ def ir_unit(D: int) -> float:
     return gamma_fn(D / 2.0) / math.pi ** (D / 2.0)
 
 
+def _weighted_sum(cfg: LoopConfig, p, name: str) -> tuple:
+    """(|ptilde|, sum_i w_i s_i, sum_i |w_i| err_i) of structure ``name`` at momentum p."""
+    c = replace(cfg, p=tuple(np.asarray(p, dtype=float)))
+    pt = float(np.linalg.norm(c.ptilde()))
+    if pt <= 0:
+        raise ValueError("nonplanar extraction needs a nonzero external momentum")
+    total = 0.0
+    err = 0.0
+    for i, w in zip(range(1, 6), LOOP_WEIGHTS):
+        v, e = _structures(i, c, (name,))[name]
+        total += w * v
+        err += abs(w) * e
+    return pt, total, err
+
+
 def ir_coefficient(cfg: LoopConfig, p_values) -> LoopResult:
     """Fit the coefficient of pt_mu pt_nu / (pt^2)^{D/2} over small momenta.
 
@@ -521,16 +512,8 @@ def ir_coefficient(cfg: LoopConfig, p_values) -> LoopResult:
 
     rows = []
     for p in p_values:
-        c = replace(cfg, p=tuple(p))
-        pt = float(np.linalg.norm(c.ptilde()))
-        total = 0.0
-        err = 0.0
-        for i, w in zip(range(1, 6), LOOP_WEIGHTS):
-            v, e = _ptpt_structure(i, c)
-            total += w * v
-            err += abs(w) * e
-        y = total * pt**cfg.D
-        rows.append((pt, y, err * pt**cfg.D))
+        pt, total, err = _weighted_sum(cfg, p, "ptpt")
+        rows.append((pt, total * pt**cfg.D, err * pt**cfg.D))
     rows.sort()
     ys = np.array([y for _pt, y, _e in rows])
     c_fit = float(np.mean(ys))
@@ -555,12 +538,7 @@ def delta_residual_profile(cfg: LoopConfig, p_values) -> list:
     """
     rows = []
     for p in p_values:
-        c = replace(cfg, p=tuple(np.asarray(p, dtype=float)))
-        pt = float(np.linalg.norm(c.ptilde()))
-        total = 0.0
-        for i, w in zip(range(1, 6), LOOP_WEIGHTS):
-            st = nonplanar_structures(i, c)
-            total += w * st["delta"][0]
+        pt, total, _err = _weighted_sum(cfg, p, "delta")
         rows.append((pt, abs(total) * pt ** (cfg.D - 2)))
     rows.sort()
     return rows

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -350,3 +351,23 @@ def test_graded_ignores_the_mu_key(tmp_path, capsys):
     code, out, _ = run_cli(["graded", "--config", str(cfg)], capsys)
     assert code == 0
     assert "F(J,J)" in out
+
+
+@pytest.mark.parametrize(
+    "command, scale",
+    [
+        ("curvature", {"alpha": math.nan}),
+        ("curvature", {"alpha": math.inf}),
+        ("curvature", {"mu": math.nan}),
+        ("graded", {"m": math.nan}),
+        ("graded", {"m": math.inf}),
+    ],
+)
+def test_non_finite_scales_exit_2(command, scale, tmp_path, capsys):
+    fields = {"components": {"d1": "x1"}} if command == "curvature" else {"A0": {"d1": "x2"}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"D": 2, "theta": 1.0, **fields, **scale}))
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err

@@ -317,3 +317,44 @@ def test_transversality_profile_decreases():
 
 def test_loop_weights_are_the_standard_bookkeeping():
     assert LOOP_WEIGHTS == (0.5, -1.0, -0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("reg", [math.nan, -1e-3, math.inf])
+def test_ir_regulator_must_be_nonnegative_and_finite(reg):
+    with pytest.raises(ValueError, match="ir_regulator"):
+        LoopConfig(D=4, p=(0.03, 0.02, -0.015, 0.01), ir_regulator=reg)
+
+
+# float.hex of the one-loop values: a refactor of the reduction must keep
+# every bit (numpy 2.4, scipy 1.17)
+_PINNED_STRUCTURES = {
+    1: (("-0x1.b476618704338p+7", "0x1.c540000000000p-35"),
+        ("0x1.62dd1670fe969p-1", "0x1.8b797c8000000p-28"),
+        ("0x1.76b55ed31dcf4p+17", "0x1.24bdb214ef49fp-29")),
+    2: (("-0x1.f2cfa55d05122p+3", "0x1.10a8fb3801f42p-27"),
+        ("-0x1.0795ad61b5be3p-4", "0x1.89e16bc000000p-29"),
+        ("0x1.2bc44bdc17d91p+14", "0x1.d462b687e5433p-33")),
+    3: (("-0x1.761be67d93245p+7", "0x1.9b56516bec05cp-33"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0")),
+    4: (("-0x1.36c9a17414e7ap+9", "0x1.e59b0c4560a9fp-38"),
+        ("-0x1.1fcdfef01ce15p-2", "0x1.c1b1de572d201p-49"),
+        ("0x1.768e771ea7600p+19", "0x1.249f4d0ff2c30p-27")),
+    5: (("0x1.36c9b06b5662ap+8", "0x1.55b70098ddc2bp-32"),
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0")),
+}
+
+
+def test_one_loop_values_are_pinned_bit_for_bit():
+    cfg2 = LoopConfig(D=2, theta=1.0, n_higgs=3, mu_mass=1.0)
+    res2 = ir_coefficient(cfg2, [np.array([x, 0.0]) for x in np.geomspace(0.01, 0.1, 6)])
+    assert float.hex(res2.value) == "0x1.e6c106a826145p-1"
+    cfg4 = LoopConfig(D=4, theta=1.0, n_higgs=10, mu_mass=1.0)
+    res4 = ir_coefficient(cfg4, [np.array([x, 0, 0, 0]) for x in np.geomspace(0.01, 0.1, 5)])
+    assert float.hex(res4.value) == "0x1.37120b67dfbedp+0"
+    cfg = replace(cfg4, p=(0.03, 0.02, -0.015, 0.01))
+    for i, expected in _PINNED_STRUCTURES.items():
+        st = nonplanar_structures(i, cfg)
+        got = tuple(tuple(map(float.hex, st[k])) for k in ("delta", "pp", "ptpt"))
+        assert got == expected, i

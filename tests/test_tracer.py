@@ -47,3 +47,22 @@ def test_traced_cli_call_records_its_report_span(monkeypatch, capsys):
     finally:
         tracer.uninstall()
     assert tracer.summary("run")["cli.star"]["calls"] == 1
+
+
+def test_traced_oneloop_counts_the_ptpt_quadratures(monkeypatch, capsys):
+    # the tracer counts ``quad`` through ``oneloop.integrate`` and
+    # ``bessel_m`` through its module global: the fit integrates ptpt only,
+    # once per bubble diagram (1, 2, 4) and momentum
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("run"):
+            assert moyalcalc.cli.main(["oneloop", "--dim", "2", "--n-points", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary("run")
+    assert summary["oneloop.quad"]["calls"] == 3 * 4
+    assert summary["oneloop.bessel_m"]["calls"] > 0
