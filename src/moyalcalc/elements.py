@@ -596,6 +596,8 @@ def _bracket(a: MoyalElement, b: MoyalElement, combine) -> MoyalElement:
     """
     a.structure.check_compatible(b.structure)
     s = a.structure
+    if not a.terms or not b.terms:
+        return MoyalElement._trusted(s, {})
     ka, kb = a.kernel(), b.kernel()
     terms = _pruned(_star_terms(ka, kb, s))
     for key, c in _pruned(_star_terms(kb, ka, s)).items():

@@ -98,8 +98,9 @@ class LoopConfig:
             raise ValueError("ir_regulator must be nonnegative and finite")
         if self.n_higgs is None:
             object.__setattr__(self, "n_higgs", self.D * (self.D + 1) // 2)
-        if self.n_higgs < 0:
-            raise ValueError("n_higgs must be nonnegative")
+        # x // 1 is NaN for an infinite or NaN count, so those fail too
+        if not (self.n_higgs >= 0 and self.n_higgs == self.n_higgs // 1):
+            raise ValueError(f"n_higgs must be a nonnegative integer, got {self.n_higgs}")
         if self.p is not None:
             p = tuple(float(x) for x in self.p)
             if len(p) != self.D:

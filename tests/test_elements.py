@@ -502,6 +502,16 @@ def test_star_with_empty_operand():
             commutator(lhs, rhs)
 
 
+def test_brackets_with_empty_operand_skip_the_kernel():
+    zero = MoyalElement(S2)
+    for bracket in (commutator, anticommutator):
+        a = coordinate(S2, 1) + plane_wave(S2, (0.5, 0.25))
+        for lhs, rhs in ((zero, a), (a, zero)):
+            out = bracket(lhs, rhs)
+            assert out.terms == {} and out.structure is S2
+        assert a._kernel is None
+
+
 def test_star_term_checks_term_length():
     # a 3-long term over D=2 used to lose x3^2 and mix 2-long exponents with
     # 3-long wave vectors; a 1-long term raised a bare IndexError

@@ -325,6 +325,17 @@ def test_ir_regulator_must_be_nonnegative_and_finite(reg):
         LoopConfig(D=4, p=(0.03, 0.02, -0.015, 0.01), ir_regulator=reg)
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, -1])
+def test_n_higgs_must_be_a_nonnegative_integer(n):
+    with pytest.raises(ValueError, match="n_higgs"):
+        LoopConfig(D=4, n_higgs=n)
+
+
+def test_n_higgs_default_and_integers_are_kept():
+    assert LoopConfig(D=4).n_higgs == 10 and LoopConfig(D=2).n_higgs == 3
+    assert [LoopConfig(D=2, n_higgs=n).n_higgs for n in (0, 1, 7)] == [0, 1, 7]
+
+
 # float.hex of the one-loop values: a refactor of the reduction must keep
 # every bit (numpy 2.4, scipy 1.17)
 _PINNED_STRUCTURES = {
