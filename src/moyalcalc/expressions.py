@@ -10,24 +10,53 @@
     complex := real | real "i" | "(" real ("+"|"-") real "i" ")"
     index   := nonzero decimal <= D
 
-A sum merges its products into one term map that is pruned and sorted once,
-so parsing is linear in the term count.  From the first product that shares
-a key with the terms before it, the sum folds term by term with ``+`` and
-``-``, because there the intermediate prunes decide which cancelled terms
-survive (``1e13 + x1 - 1e13`` is ``0``).  Either way the result equals the
+Digits are the Unicode decimal digits that ``int()`` and ``float()`` read
+(``x٣`` is ``x3``); a superscript is not a digit.
+
+A product of literals (real, imaginary and complex numbers, monomials and
+waves) is built as one term ``(alpha, k, c)``, with the IEEE operations the
+element path makes: ``0j + complex(v)`` per literal, then per ``*`` the
+summed exponents, ``_clean_k`` of the summed wave vector and
+``0j + c1 * c2``.  After every factor the one-term form of the element prune
+applies: a zero term vanishes, a non-finite coefficient or an overflowing
+modulus raises ``ValueError``.  Later factors are still read and checked
+after a zero, so an error comes from the same factor, with the same message,
+as when every factor is an element.  Only a parenthesised sum is an element,
+multiplied with ``pointwise``.
+
+A sum merges its products' terms into one term map that is pruned and sorted
+once, so parsing is linear in the term count and finishes one element.  From
+the first product that shares a key with the terms before it, the sum folds
+term by term with ``+`` and ``-``, because there the intermediate prunes
+decide which cancelled terms survive (``1e13 + x1 - 1e13`` is ``0``); that
+fold is still quadratic in the term count.  Either way the result equals the
 fold of the whole sum bit for bit.
 
 Syntax and range errors carry 1-based column positions.  The printer emits
 one canonical form per element (sorted terms, explicit "*", repr floats), so
-parse(print(e)) reproduces e exactly and printing is idempotent.
+parse(print(e)) reproduces e exactly and printing is idempotent; it builds
+each distinct monomial string and each distinct ``W[...]`` string once per
+call.
 """
 
 from __future__ import annotations
 
-from .elements import MoyalElement, monomial, plane_wave, pointwise, unit
+import re
+from cmath import isfinite
+from operator import add
+
+from .elements import PRUNE_REL, MoyalElement, _clean_k, pointwise
 from .structure import SymplecticStructure
 
 __all__ = ["ExpressionError", "parse_expression", "format_element"]
+
+_WS = re.compile(r"\s*")
+# a run of digits and dots, then an exponent only where a digit follows it;
+# \d is exactly the digits int() and float() accept (not superscripts)
+_NUMBER = re.compile(r"[\d.]*(?:[eE][+-]?\d+)?")
+_INTEGER = re.compile(r"\d+")
+# the coefficient monomials and waves get: 0j + complex(1.0)
+_ONE = 1 + 0j
 
 
 class ExpressionError(ValueError):
@@ -38,18 +67,41 @@ class ExpressionError(ValueError):
         self.column = column
 
 
+def _kept(c: complex) -> bool:
+    """Whether ``_pruned`` keeps ``c`` as the only term; raises where it raises.
+
+    A zero is dropped; a non-finite coefficient, or one whose modulus
+    overflows, raises ``ValueError`` with ``_pruned``'s message.
+    """
+    try:
+        top = abs(c)
+    except OverflowError:
+        raise ValueError("coefficients must be finite, got a modulus that overflows") from None
+    if top > PRUNE_REL * top:
+        return True
+    if not isfinite(c):
+        raise ValueError("coefficients must be finite")
+    return False
+
+
+def _terms(value) -> dict:
+    """A fresh term dict of a product value: a term, ``None`` or an element."""
+    if isinstance(value, MoyalElement):
+        return dict(value.terms)
+    return {} if value is None else {(value[0], value[1]): value[2]}
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos = pos = _WS.match(self.text, self.pos).end()
+        return self.text[pos : pos + 1]
 
     def column(self) -> int:
         return self.pos + 1
@@ -61,44 +113,44 @@ class _Scanner:
 
     def number(self, signed: bool = False) -> float:
         self.skip_ws()
-        start = self.pos
-        i = self.pos
+        start = digits = self.pos
         text = self.text
-        if signed and i < len(text) and text[i] in "+-":
-            i += 1
-        digits = i
-        while i < len(text) and (text[i].isdigit() or text[i] == "."):
-            i += 1
-        if i < len(text) and text[i] in "eE":
-            j = i + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            if j < len(text) and text[j].isdigit():
-                i = j
-                while i < len(text) and text[i].isdigit():
-                    i += 1
-        if i == digits:
-            raise ExpressionError("expected a number", self.column())
-        self.pos = i
+        if signed and text.startswith(("+", "-"), start):
+            digits += 1
+        end = _NUMBER.match(text, digits).end()
+        if end == digits:
+            raise ExpressionError("expected a number", start + 1)
+        self.pos = end
         try:
-            return float(text[start:i])
+            return float(text[start:end])
         except ValueError as exc:
             raise ExpressionError(str(exc), start + 1) from exc
 
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        match = _INTEGER.match(self.text, start)
+        if match is None:
             raise ExpressionError("expected an integer", start + 1)
-        return int(self.text[start : self.pos])
+        self.pos = match.end()
+        try:
+            return int(match.group())
+        except ValueError as exc:  # more digits than int() converts
+            raise ExpressionError(str(exc), start + 1) from exc
 
 
 class _Parser:
+    """Recursive descent over the grammar.
+
+    A literal factor and a product of literals are one term ``(alpha, k, c)``,
+    or ``None`` once the product is zero; a parenthesised sum is an element.
+    """
+
     def __init__(self, text: str, s: SymplecticStructure):
         self.sc = _Scanner(text)
         self.s = s
+        self.zero_alpha = (0,) * s.D
+        self.zero_k = (0.0,) * s.D
 
     def parse(self) -> MoyalElement:
         value = self.sum()
@@ -108,17 +160,18 @@ class _Parser:
         return value
 
     def sum(self) -> MoyalElement:
-        # leading unary minus accepted as a convenience superset of the grammar
+        # leading unary minus accepted as a convenience superset of the grammar;
+        # negating kept terms keeps them all, as the element's prune would
         if self.sc.peek() == "-":
             self.sc.pos += 1
-            first = -self.product()
+            merged = {key: -c for key, c in self.product().items()}
         else:
-            first = self.product()
-        merged, value = dict(first.terms), None
+            merged = self.product()
+        value = None
         while (ch := self.sc.peek()) in ("+", "-"):
             self.sc.pos += 1
             p = self.product()
-            if value is None and not merged.keys().isdisjoint(p.terms):
+            if value is None and not merged.keys().isdisjoint(p):
                 # a shared key can cancel, and the intermediate prunes then
                 # decide which small terms survive, so the rest folds term by
                 # term; up to here one prune keeps what step-by-step prunes
@@ -126,16 +179,18 @@ class _Parser:
                 value = MoyalElement._trusted(self.s, merged)
             if value is None:
                 # a new key gets 0j + c or 0j - c, the value + and - give it
-                for key, c in p.terms.items():
+                for key, c in p.items():
                     merged[key] = 0j + c if ch == "+" else 0j - c
             else:
+                p = MoyalElement._trusted(self.s, p)
                 value = value + p if ch == "+" else value - p
         return MoyalElement._trusted(self.s, merged) if value is None else value
 
     def _starts_factor(self, ch: str) -> bool:
-        return bool(ch) and (ch in "(xW" or ch.isdigit() or ch == ".")
+        return bool(ch) and (ch in "(xW." or ch.isdecimal())
 
-    def product(self) -> MoyalElement:
+    def product(self) -> dict:
+        """The product's pruned, sorted terms (a fresh dict)."""
         # the grammar product is the pointwise product: expressions describe
         # carrier functions, star composition is an algebra operation
         value = self.factor()
@@ -143,13 +198,45 @@ class _Parser:
             ch = self.sc.peek()
             if ch == "*":
                 self.sc.pos += 1
-                value = pointwise(value, self.factor())
-            elif self._starts_factor(ch):
-                value = pointwise(value, self.factor())
-            else:
-                return value
+            elif not self._starts_factor(ch):
+                break
+            value = self._times(value, self.factor())
+        return _terms(value)
 
-    def factor(self) -> MoyalElement:
+    def _times(self, a, b):
+        """``pointwise`` of two factors, computed on terms where both are terms.
+
+        The term product makes the IEEE operations ``pointwise`` makes for
+        one term pair: summed exponents, ``_clean_k`` of the summed wave
+        vector, ``0j + c1 * c2``, then the one-term prune.
+        """
+        if isinstance(a, MoyalElement) or isinstance(b, MoyalElement):
+            return pointwise(self._element(a), self._element(b))
+        if a is None or b is None:
+            return None
+        (alpha1, k1, c1), (alpha2, k2, c2) = a, b
+        # adding the zero vector to a snapped vector and snapping again
+        # returns it unchanged (snapped components are never -0.0)
+        if k1 is self.zero_k:
+            k = k2
+        elif k2 is self.zero_k:
+            k = k1
+        else:
+            k = _clean_k(map(add, k1, k2))
+        c = 0j + c1 * c2
+        return (tuple(map(add, alpha1, alpha2)), k, c) if _kept(c) else None
+
+    def _element(self, value) -> MoyalElement:
+        if isinstance(value, MoyalElement):
+            return value
+        return MoyalElement._trusted(self.s, _terms(value))
+
+    def _literal(self, v):
+        """The term ``unit(s, v)`` holds: ``0j + complex(v)``, pruned."""
+        c = 0j + complex(v)
+        return (self.zero_alpha, self.zero_k, c) if _kept(c) else None
+
+    def factor(self):
         ch = self.sc.peek()
         if ch == "x":
             return self.monomial()
@@ -157,11 +244,11 @@ class _Parser:
             return self.wave()
         if ch == "(":
             return self.paren()
-        if ch.isdigit() or ch == ".":
+        if ch.isdecimal() or ch == ".":
             return self.scalar()
         raise ExpressionError("expected a factor", self.sc.column())
 
-    def monomial(self) -> MoyalElement:
+    def monomial(self) -> tuple:
         col = self.sc.column()
         self.sc.expect("x")
         idx = self.sc.integer()
@@ -175,9 +262,9 @@ class _Parser:
             power = self.sc.integer()
         alpha = [0] * self.s.D
         alpha[idx - 1] = power
-        return monomial(self.s, alpha)
+        return (tuple(alpha), self.zero_k, _ONE)
 
-    def wave(self) -> MoyalElement:
+    def wave(self) -> tuple:
         col = self.sc.column()
         self.sc.expect("W")
         self.sc.expect("[")
@@ -190,16 +277,16 @@ class _Parser:
             raise ExpressionError(
                 f"wave vector needs {self.s.D} components, got {len(comps)}", col
             )
-        return plane_wave(self.s, comps)
+        return (self.zero_alpha, _clean_k(comps), _ONE)
 
-    def scalar(self) -> MoyalElement:
+    def scalar(self):
         value = self.sc.number()
         if self.sc.pos < len(self.sc.text) and self.sc.text[self.sc.pos] == "i":
             self.sc.pos += 1
-            return unit(self.s, 1j * value)
-        return unit(self.s, value)
+            return self._literal(1j * value)
+        return self._literal(value)
 
-    def paren(self) -> MoyalElement:
+    def paren(self):
         # try the parenthesised complex literal "(re +- im i)" first
         save = self.sc.pos
         self.sc.expect("(")
@@ -214,7 +301,7 @@ class _Parser:
                 raise ExpressionError("not a complex literal", self.sc.column())
             self.sc.pos += 1
             self.sc.expect(")")
-            return unit(self.s, complex(re_, im_ if sign_ch == "+" else -im_))
+            return self._literal(complex(re_, im_ if sign_ch == "+" else -im_))
         except ExpressionError:
             self.sc.pos = save
         self.sc.expect("(")
@@ -242,20 +329,22 @@ def format_element(a: MoyalElement) -> str:
     """Canonical printable form; parse(format(a)) == a."""
     if not a.terms:
         return "0.0"
+    # many terms share a monomial or a wave, so each string is built once
+    monomials, waves = {}, {}
     out = []
     for (alpha, k), c in a.terms.items():
         sign, lit = _signed_coeff(c)
-        factors = [lit]
-        for i, e in enumerate(alpha):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
-        if any(x != 0.0 for x in k):
-            factors.append("W[" + ",".join(repr(x) for x in k) + "]")
-        term = "*".join(factors)
+        x = monomials.get(alpha)
+        if x is None:
+            x = monomials[alpha] = "".join(
+                f"*x{i}" if e == 1 else f"*x{i}^{e}" for i, e in enumerate(alpha, 1) if e
+            )
+        w = waves.get(k)
+        if w is None:
+            w = waves[k] = "*W[" + ",".join(map(repr, k)) + "]" if any(k) else ""
+        term = lit + x + w
         if not out:
             out.append(term if sign == "+" else f"-{term}")
         else:
-            out.append(f"{'+' if sign == '+' else '-'} {term}")
+            out.append(f"{sign} {term}")
     return " ".join(out)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from moyalcalc import (
     parse_expression,
     plane_wave,
     pointwise,
+    star,
     unit,
 )
 
@@ -69,21 +72,33 @@ def test_parenthesised_sums():
     assert (e - expect).norm() < 1e-15
 
 
-def test_round_trip_corpus():
-    """print(parse(s)) is the identity on printed forms for 50 random elements."""
+def _random_element(rng, s):
+    """1-4 random terms; wave components on the quarter grid or at 8192 and
+    above, where they are not snapped to the 2^-40 grid."""
+    terms = {}
+    for _t in range(int(rng.integers(1, 5))):
+        alpha = tuple(int(v) for v in rng.integers(0, 4, size=s.D))
+        k = tuple(
+            float(v) / 4.0 if rng.random() < 0.7 else float(rng.choice([-1, 1]) * rng.uniform(8192, 1e5))
+            for v in rng.integers(-6, 7, size=s.D)
+        )
+        terms[(alpha, k)] = complex(rng.normal(), float(rng.integers(0, 2)) * rng.normal())
+    return MoyalElement(s, terms)
+
+
+@pytest.mark.parametrize("D", [2, 4], ids=["D2", "D4"])
+def test_round_trip_corpus(D):
+    """print(parse(s)) is the identity on printed forms of random elements and
+    of their star products."""
+    s = SymplecticStructure(D, 1.0)
     rng = np.random.default_rng(23)
-    for _ in range(50):
-        terms = {}
-        for _t in range(int(rng.integers(1, 5))):
-            alpha = tuple(int(v) for v in rng.integers(0, 4, size=2))
-            k = tuple(float(v) / 4.0 for v in rng.integers(-6, 7, size=2))
-            terms[(alpha, k)] = complex(
-                rng.normal(), float(rng.integers(0, 2)) * rng.normal()
-            )
-        a = MoyalElement(S2, terms)
+    elements = [_random_element(rng, s) for _ in range(50)]
+    products = [star(a, b) for a, b in zip(elements[::2], elements[1::2])]
+    assert any(len(c.terms) > 20 for c in products)
+    for a in elements + products:
         printed = format_element(a)
-        reparsed = parse_expression(printed, S2)
-        assert (a - reparsed).norm() == 0.0
+        reparsed = parse_expression(printed, s)
+        assert reparsed.terms == a.terms
         assert format_element(reparsed) == printed
 
 
@@ -156,6 +171,28 @@ def test_sum_parsing_matches_the_fold(s):
         ("1e13 + 1e-13*x1", one + pointwise(unit(s, 1e-13), x1)),
         ("-x1 - 1e13 + (x1 - x1)", -x1 - one + (x1 - x1)),
     ]
+
+    def wave(*k):
+        k += (0.0,) * (s.D - len(k))
+        return "W[" + ",".join(map(repr, k)) + "]", plane_wave(s, k)
+
+    def x(i, power=1):
+        return monomial(s, tuple(power if j == i else 0 for j in range(1, s.D + 1)))
+
+    # literal products: signed zeros, wave sums below and above the snapping
+    # limit, complex coefficients, and a zero factor before later ones
+    (w01, v01), (w02, v02) = wave(0.1, 0.0), wave(0.2, 0.0)
+    (w9k, v9k), (w025, v025) = wave(9000.5, 0.0), wave(0.25, 0.0)
+    products = [
+        ("-0.0*x1 + x2", [unit(s, -0.0), x(1)], x(2)),
+        (f"{w01}*{w02}", [v01, v02], None),
+        (f"{w9k}*{w025}*x1", [v9k, v025, x(1)], None),
+        ("2.5i*(1.5-0.25i)*x1^2*x2", [unit(s, 2.5j), unit(s, 1.5 - 0.25j), x(1, 2), x(2)], None),
+        ("x1*0*x2", [x(1), unit(s, 0.0), x(2)], None),
+    ]
+    for text, factors, plus in products:
+        value = reduce(pointwise, factors)
+        cases.append((text, value if plus is None else value + plus))
     for text, expect in cases:
         assert _bits(parse_expression(text, s)) == _bits(expect), text
 
@@ -177,3 +214,62 @@ def test_sum_parsing_does_linear_work(monkeypatch):
     monkeypatch.setattr(elements, "_pruned", counting)
     assert _bits(parse_expression(text, S2)) == _bits(e)
     assert sum(sizes) <= 10 * n
+
+
+def test_literal_products_build_no_elements(monkeypatch):
+    """A printed element parses without ``pointwise`` and finishes at most one
+    element per product."""
+    from moyalcalc import expressions
+
+    rng = np.random.default_rng(11)
+    products = [star(_random_element(rng, S2), _random_element(rng, S2)) for _ in range(4)]
+    e = reduce(MoyalElement.__add__, products)
+    assert len(e.terms) > 100
+    text = format_element(e)
+    calls = {"pointwise": 0, "finish": 0}
+    pointwise_, finish = expressions.pointwise, MoyalElement._finish
+
+    def counting_pointwise(a, b):
+        calls["pointwise"] += 1
+        return pointwise_(a, b)
+
+    def counting_finish(self, structure, merged):
+        calls["finish"] += 1
+        return finish(self, structure, merged)
+
+    monkeypatch.setattr(expressions, "pointwise", counting_pointwise)
+    monkeypatch.setattr(MoyalElement, "_finish", counting_finish)
+    assert parse_expression(text, S2).terms == e.terms
+    assert calls["pointwise"] == 0
+    assert calls["finish"] <= len(e.terms)
+
+
+def test_literal_product_errors_come_from_the_same_factor():
+    """A zero product still checks its later factors, and a coefficient that
+    stops being finite raises the element's own message."""
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("0*x3", S2)
+    assert err.value.column == 3
+    with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+        parse_expression("1e200*1e200*x1", S2)
+    with pytest.raises(ValueError, match="^coefficients must be finite, got a modulus that overflows$"):
+        parse_expression("(1.5e308+1.5e308i)*x1", S2)
+
+
+def test_digits_are_the_digits_int_reads():
+    """Superscripts end a number with a positioned error; other decimal digits read."""
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("x1^²", S2)
+    assert err.value.column == 4
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("x²", S2)
+    assert err.value.column == 2
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("2²", S2)
+    assert err.value.column == 2
+    # an exponent longer than int() converts is positioned too
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("x1^" + "9" * 5000, S2)
+    assert err.value.column == 4
+    assert parse_expression("x٣", S4).terms == monomial(S4, (0, 0, 1, 0)).terms
+    assert parse_expression("٢.٥ x١^٢", S2).terms == monomial(S2, (2, 0), 2.5).terms
