@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from moyalcalc.cli import _build_parser, main
+from moyalcalc.cli import CONVENTIONS, _build_parser, main
 
 
 def run_cli(args, capsys):
@@ -371,3 +371,32 @@ def test_non_finite_scales_exit_2(command, scale, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("dim, theta", [("2", "1e-13"), ("4", "1e-13"), ("2", "1e-160")])
+def test_verify_center_witness_at_tiny_theta_fails_without_traceback(dim, theta, capsys):
+    # pruning drops every O(theta) commutator, so no monomial moves: the
+    # witness reads 1e300 instead of dividing by zero
+    code, out, err = run_cli(
+        ["verify", "--scope", "core", "--dim", dim, "--theta", theta], capsys
+    )
+    assert code == 1
+    assert (
+        "FAIL  core         center witness (monomials move)  residual 1.000e+300  tol 1e+12\n"
+        in out
+    )
+    assert err == ""
+
+
+def test_bessel_check_stdout_pinned(capsys):
+    code, out, err = run_cli(["bessel-check", "--seed", "1"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == [
+        *CONVENTIONS.splitlines(),
+        "K recurrence residual      1.146e-16  tol 1e-10",
+        "Wronskian I K' + I' K      8.187e-16  tol 1e-9",
+        "K_-Q = K_Q                 0.000e+00  tol 1e-14",
+        "small-argument M_-Q law    2.611e-04  tol 1e-2",
+        "# all checks passed",
+    ]

@@ -66,3 +66,23 @@ def test_traced_oneloop_counts_the_ptpt_quadratures(monkeypatch, capsys):
     summary = tracer.summary("run")
     assert summary["oneloop.quad"]["calls"] == 3 * 4
     assert summary["oneloop.bessel_m"]["calls"] > 0
+
+
+def test_traced_verify_records_every_suite_span(monkeypatch, capsys):
+    # ``run_suites`` must look its suites up in ``SUITES`` at call time: the
+    # tracer rebinds the dict values, and a list captured at import would
+    # bypass the wrappers and zero the per-suite metrics
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("run"):
+            assert moyalcalc.cli.main(["verify", "--dim", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary("run")
+    for suite in ("core", "derivations", "connections", "graded"):
+        assert summary[f"verify.{suite}"]["calls"] == 1
+        assert summary[f"verify.{suite}"]["incl_s"] > 0
