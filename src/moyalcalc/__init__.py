@@ -2,6 +2,8 @@
 theory, a Z2-graded extension, and the one-loop IR diagnostics of the
 polarisation tensor.
 
+The package exports each layer module's ``__all__``, so a public name is
+declared once, in its own module; only the one-loop names are listed here.
 ``import moyalcalc`` loads numpy and the algebra layers only. The one-loop
 names (``LoopConfig``, ``ir_coefficient``, ...) are resolved on first use,
 and only then is scipy imported. The ``moyalcalc`` command (``moyalcalc.cli``)
@@ -11,77 +13,12 @@ up ``moyalcalc.oneloop`` after importing the CLI.
 
 from types import ModuleType as _ModuleType
 
-from .structure import StructureMismatchError, SymplecticStructure
-from .elements import (
-    MoyalElement,
-    Term,
-    anticommutator,
-    commutator,
-    coordinate,
-    distance,
-    dump_element,
-    involution,
-    is_unitary,
-    load_element,
-    monomial,
-    norm,
-    partial,
-    plane_wave,
-    pointwise,
-    rel_distance,
-    star,
-    star_term,
-    unit,
-    xi,
-)
-from .expressions import ExpressionError, format_element, parse_expression
-from .derivations import (
-    BracketDecomposition,
-    DerivationGenerator,
-    apply_derivation,
-    bracket_generators,
-    d2_special_basis,
-    eta,
-    g1_basis,
-    g2_basis,
-    inner_generator,
-    partial_generator,
-    poisson_bracket,
-    sym_generator,
-    verify_d2_special_brackets,
-)
-from .connections import (
-    ConnectionForm,
-    CovariantCoordinates,
-    CurvatureTable,
-    action_density,
-    canonical_connection,
-    canonical_curvature,
-    connection_from_config,
-    covariant_coordinates,
-    covariant_derivative,
-    curvature,
-    curvature_generic,
-    eta_rescaled,
-    gauge_transform,
-)
-from .graded import (
-    GradedConnectionForm,
-    GradedElement,
-    GradedGenerator,
-    graded_action_density,
-    graded_bracket,
-    graded_canonical_curvature,
-    graded_connection_from_config,
-    graded_covariant_coordinates,
-    graded_curvature,
-    graded_curvature_generic,
-    graded_eta,
-    graded_gauge_transform,
-    graded_generators,
-    graded_unit,
-    verify_graded_table,
-)
+from .structure import *
+from .elements import *
+from .expressions import *
+from .derivations import *
+from .connections import *
+from .graded import *
 
 # The one-loop names resolve on first use (``__getattr__``): ``oneloop`` is the
 # only layer that imports scipy, and its import costs more than the rest of the

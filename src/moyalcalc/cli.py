@@ -23,7 +23,7 @@ from .connections import (
     curvature_generic,
 )
 from .expressions import format_element, parse_expression
-from .gauge import max_residual
+from .gauge import config_number, max_residual
 from .oneloop import LoopConfig, bessel_m, ir_coefficient, ir_target, ir_unit
 from .structure import SymplecticStructure
 from .verify import SUITES, run_suites
@@ -54,9 +54,10 @@ def _effective(args, cfg=None):
     for key, flag, cast, default in (("D", "dim", int, 2), ("theta", "theta", float, 1.0)):
         val = getattr(args, flag)
         if cfg and key in cfg:
-            if val is not None and cast(cfg[key]) != val:
-                raise ValueError(f"config {key}={cast(cfg[key])} conflicts with --{flag} {val}")
-            val = cast(cfg[key])
+            got = config_number(cfg, key, cast)
+            if val is not None and got != val:
+                raise ValueError(f"config {key}={got} conflicts with --{flag} {val}")
+            val = got
         out.append(default if val is None else val)
     return tuple(out)
 

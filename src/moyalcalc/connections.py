@@ -309,6 +309,6 @@ def connection_from_config(cfg: dict, parse=None) -> ConnectionForm:
         s,
         cfg.get("basis", "G1"),
         gauge.parse_components(cfg.get("components"), s, parse),
-        mu_scale=float(cfg.get("mu", 1.0)),
-        alpha_coupling=float(cfg.get("alpha", 1.0)),
+        mu_scale=gauge.config_number(cfg, "mu", float, 1.0),
+        alpha_coupling=gauge.config_number(cfg, "alpha", float, 1.0),
     )

@@ -170,6 +170,25 @@ def _pruned(merged: dict) -> dict:
     return kept
 
 
+def _kept(c: complex) -> bool:
+    """Whether ``_pruned`` keeps ``c`` as the only term; raises where it raises.
+
+    A zero is dropped; a non-finite coefficient, or one whose modulus
+    overflows, raises ``ValueError`` with ``_pruned``'s message.  This is
+    ``bool(_pruned({key: c}))`` without building a dict, for the parser's
+    per-factor prune.
+    """
+    try:
+        top = abs(c)
+    except OverflowError:
+        raise ValueError("coefficients must be finite, got a modulus that overflows") from None
+    if top > PRUNE_REL * top:
+        return True
+    if not cmath.isfinite(c):
+        raise ValueError("coefficients must be finite")
+    return False
+
+
 class MoyalElement:
     """Finite complex combination of monomial x plane-wave terms."""
 
@@ -336,20 +355,9 @@ class MoyalElement:
         return total
 
     def __repr__(self):
-        if not self.terms:
-            return "MoyalElement(0)"
-        bits = []
-        for (alpha, k), c in self.terms.items():
-            factors = [f"({c:.6g})"]
-            factors += [
-                f"x{i + 1}" + (f"^{a}" if a > 1 else "")
-                for i, a in enumerate(alpha)
-                if a
-            ]
-            if any(x != 0.0 for x in k):
-                factors.append("W[" + ",".join(f"{x:g}" for x in k) + "]")
-            bits.append("*".join(factors))
-        return "MoyalElement(" + " + ".join(bits) + ")"
+        from .expressions import format_element  # expressions imports this module
+
+        return f"MoyalElement({format_element(self)})"
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,9 @@ call.
 from __future__ import annotations
 
 import re
-from cmath import isfinite
 from operator import add
 
-from .elements import PRUNE_REL, MoyalElement, _clean_k, pointwise
+from .elements import MoyalElement, _clean_k, _kept, pointwise
 from .structure import SymplecticStructure
 
 __all__ = ["ExpressionError", "parse_expression", "format_element"]
@@ -67,23 +66,6 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-def _kept(c: complex) -> bool:
-    """Whether ``_pruned`` keeps ``c`` as the only term; raises where it raises.
-
-    A zero is dropped; a non-finite coefficient, or one whose modulus
-    overflows, raises ``ValueError`` with ``_pruned``'s message.
-    """
-    try:
-        top = abs(c)
-    except OverflowError:
-        raise ValueError("coefficients must be finite, got a modulus that overflows") from None
-    if top > PRUNE_REL * top:
-        return True
-    if not isfinite(c):
-        raise ValueError("coefficients must be finite")
-    return False
-
-
 def _terms(value) -> dict:
     """A fresh term dict of a product value: a term, ``None`` or an element."""
     if isinstance(value, MoyalElement):
@@ -91,10 +73,19 @@ def _terms(value) -> dict:
     return {} if value is None else {(value[0], value[1]): value[2]}
 
 
-class _Scanner:
-    def __init__(self, text: str):
+class _Parser:
+    """Recursive descent over the grammar.
+
+    A literal factor and a product of literals are one term ``(alpha, k, c)``,
+    or ``None`` once the product is zero; a parenthesised sum is an element.
+    """
+
+    def __init__(self, text: str, s: SymplecticStructure):
         self.text = text
         self.pos = 0
+        self.s = s
+        self.zero_alpha = (0,) * s.D
+        self.zero_k = (0.0,) * s.D
 
     def skip_ws(self):
         self.pos = _WS.match(self.text, self.pos).end()
@@ -138,38 +129,24 @@ class _Scanner:
         except ValueError as exc:  # more digits than int() converts
             raise ExpressionError(str(exc), start + 1) from exc
 
-
-class _Parser:
-    """Recursive descent over the grammar.
-
-    A literal factor and a product of literals are one term ``(alpha, k, c)``,
-    or ``None`` once the product is zero; a parenthesised sum is an element.
-    """
-
-    def __init__(self, text: str, s: SymplecticStructure):
-        self.sc = _Scanner(text)
-        self.s = s
-        self.zero_alpha = (0,) * s.D
-        self.zero_k = (0.0,) * s.D
-
     def parse(self) -> MoyalElement:
         value = self.sum()
-        self.sc.skip_ws()
-        if self.sc.pos != len(self.sc.text):
-            raise ExpressionError("trailing input", self.sc.column())
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise ExpressionError("trailing input", self.column())
         return value
 
     def sum(self) -> MoyalElement:
         # leading unary minus accepted as a convenience superset of the grammar;
         # negating kept terms keeps them all, as the element's prune would
-        if self.sc.peek() == "-":
-            self.sc.pos += 1
+        if self.peek() == "-":
+            self.pos += 1
             merged = {key: -c for key, c in self.product().items()}
         else:
             merged = self.product()
         value = None
-        while (ch := self.sc.peek()) in ("+", "-"):
-            self.sc.pos += 1
+        while (ch := self.peek()) in ("+", "-"):
+            self.pos += 1
             p = self.product()
             if value is None and not merged.keys().isdisjoint(p):
                 # a shared key can cancel, and the intermediate prunes then
@@ -195,9 +172,9 @@ class _Parser:
         # carrier functions, star composition is an algebra operation
         value = self.factor()
         while True:
-            ch = self.sc.peek()
+            ch = self.peek()
             if ch == "*":
-                self.sc.pos += 1
+                self.pos += 1
             elif not self._starts_factor(ch):
                 break
             value = self._times(value, self.factor())
@@ -237,7 +214,7 @@ class _Parser:
         return (self.zero_alpha, self.zero_k, c) if _kept(c) else None
 
     def factor(self):
-        ch = self.sc.peek()
+        ch = self.peek()
         if ch == "x":
             return self.monomial()
         if ch == "W":
@@ -246,33 +223,33 @@ class _Parser:
             return self.paren()
         if ch.isdecimal() or ch == ".":
             return self.scalar()
-        raise ExpressionError("expected a factor", self.sc.column())
+        raise ExpressionError("expected a factor", self.column())
 
     def monomial(self) -> tuple:
-        col = self.sc.column()
-        self.sc.expect("x")
-        idx = self.sc.integer()
+        col = self.column()
+        self.expect("x")
+        idx = self.integer()
         if not 1 <= idx <= self.s.D:
             raise ExpressionError(
                 f"coordinate index {idx} out of range 1..{self.s.D}", col
             )
         power = 1
-        if self.sc.peek() == "^":
-            self.sc.pos += 1
-            power = self.sc.integer()
+        if self.peek() == "^":
+            self.pos += 1
+            power = self.integer()
         alpha = [0] * self.s.D
         alpha[idx - 1] = power
         return (tuple(alpha), self.zero_k, _ONE)
 
     def wave(self) -> tuple:
-        col = self.sc.column()
-        self.sc.expect("W")
-        self.sc.expect("[")
-        comps = [self.sc.number(signed=True)]
-        while self.sc.peek() == ",":
-            self.sc.pos += 1
-            comps.append(self.sc.number(signed=True))
-        self.sc.expect("]")
+        col = self.column()
+        self.expect("W")
+        self.expect("[")
+        comps = [self.number(signed=True)]
+        while self.peek() == ",":
+            self.pos += 1
+            comps.append(self.number(signed=True))
+        self.expect("]")
         if len(comps) != self.s.D:
             raise ExpressionError(
                 f"wave vector needs {self.s.D} components, got {len(comps)}", col
@@ -280,33 +257,33 @@ class _Parser:
         return (self.zero_alpha, _clean_k(comps), _ONE)
 
     def scalar(self):
-        value = self.sc.number()
-        if self.sc.pos < len(self.sc.text) and self.sc.text[self.sc.pos] == "i":
-            self.sc.pos += 1
+        value = self.number()
+        if self.pos < len(self.text) and self.text[self.pos] == "i":
+            self.pos += 1
             return self._literal(1j * value)
         return self._literal(value)
 
     def paren(self):
         # try the parenthesised complex literal "(re +- im i)" first
-        save = self.sc.pos
-        self.sc.expect("(")
+        save = self.pos
+        self.expect("(")
         try:
-            re_ = self.sc.number(signed=True)
-            sign_ch = self.sc.peek()
+            re_ = self.number(signed=True)
+            sign_ch = self.peek()
             if sign_ch not in "+-":
-                raise ExpressionError("not a complex literal", self.sc.column())
-            self.sc.pos += 1
-            im_ = self.sc.number()
-            if not (self.sc.pos < len(self.sc.text) and self.sc.text[self.sc.pos] == "i"):
-                raise ExpressionError("not a complex literal", self.sc.column())
-            self.sc.pos += 1
-            self.sc.expect(")")
+                raise ExpressionError("not a complex literal", self.column())
+            self.pos += 1
+            im_ = self.number()
+            if not (self.pos < len(self.text) and self.text[self.pos] == "i"):
+                raise ExpressionError("not a complex literal", self.column())
+            self.pos += 1
+            self.expect(")")
             return self._literal(complex(re_, im_ if sign_ch == "+" else -im_))
         except ExpressionError:
-            self.sc.pos = save
-        self.sc.expect("(")
+            self.pos = save
+        self.expect("(")
         value = self.sum()
-        self.sc.expect(")")
+        self.expect(")")
         return value
 
 

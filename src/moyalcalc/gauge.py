@@ -75,20 +75,50 @@ def unitary_action(g: MoyalElement, tol: float, message: str):
     return act
 
 
+def config_number(cfg: dict, key: str, cast, default=None):
+    """``cast(cfg[key])`` with ``cast`` ``int`` or ``float``; ``default`` when ``key`` is absent.
+
+    Without a default the key is required (``KeyError``).  A value ``cast``
+    cannot take, and an ``int`` value that is not integral (4.9, inf, NaN),
+    raise ``ValueError`` naming the key; an integer string such as "4" is read.
+    """
+    if default is not None and key not in cfg:
+        return default
+    val = cfg[key]
+    message = f"config {key} must be {'an integer' if cast is int else 'a number'}, got {val!r}"
+    try:
+        out = cast(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(message) from exc
+    if cast is int and not isinstance(val, str) and out != val:
+        raise ValueError(message)
+    return out
+
+
 def structure_from_config(cfg: dict, kind: str) -> SymplecticStructure:
     try:
-        return SymplecticStructure(int(cfg["D"]), float(cfg.get("theta", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+        D = config_number(cfg, "D", int)
+        return SymplecticStructure(D, config_number(cfg, "theta", float, 1.0))
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"bad {kind} config: {exc}") from exc
 
 
 def parse_components(group, s: SymplecticStructure, parse) -> dict:
-    """Name -> element, with expression strings parsed by ``parse(expr, s)``."""
+    """Name -> element, with expression strings parsed by ``parse(expr, s)``.
+
+    A missing group or component (``None``) is zero; a group that is not a
+    mapping, or a component that is neither a string nor an element, raises.
+    """
+    group = group or {}
+    if not isinstance(group, dict):
+        raise ValueError(f"components must map names to expressions, got {group!r}")
     out = {}
-    for name, expr in (group or {}).items():
+    for name, expr in group.items():
         if isinstance(expr, str):
             if parse is None:
                 raise ValueError("expression components need a parser")
             expr = parse(expr, s)
+        elif not (expr is None or isinstance(expr, MoyalElement)):
+            raise ValueError(f"component {name} must be an expression string, got {expr!r}")
         out[name] = expr
     return out

@@ -593,4 +593,5 @@ def graded_connection_from_config(cfg: dict, parse=None) -> GradedConnectionForm
     groups = {
         group: gauge.parse_components(cfg.get(group), s, parse) for group, *_ in _SLOTS.values()
     }
-    return GradedConnectionForm(s, **groups, phi=phi, m_scale=float(cfg.get("m", 1.0)))
+    m_scale = gauge.config_number(cfg, "m", float, 1.0)
+    return GradedConnectionForm(s, **groups, phi=phi, m_scale=m_scale)

@@ -400,3 +400,35 @@ def test_bessel_check_stdout_pinned(capsys):
         "small-argument M_-Q law    2.611e-04  tol 1e-2",
         "# all checks passed",
     ]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("curvature", '{"D": 2, "mu": null}'),
+        ("curvature", '{"D": 2, "alpha": [1]}'),
+        ("curvature", '{"D": 2, "components": [1]}'),
+        ("curvature", '{"D": 2, "components": "x1"}'),
+        ("curvature", '{"D": 2, "components": {"d1": 5}}'),
+        ("graded", '{"D": 2, "m": null}'),
+        ("graded", '{"D": 2, "G0": [1]}'),
+        ("graded", '{"D": 2, "phi": 3}'),
+        ("graded", '{"D": 2, "A0": {"d1": 2.5}}'),
+        ("verify", '{"D": null}'),
+        ("verify", '{"theta": [1]}'),
+        ("verify", '{"D": 1e400}'),
+        ("verify", '{"D": 4.9}'),
+        ("curvature", '{"D": null}'),
+        ("curvature", '{"theta": [1]}'),
+        ("curvature", '{"D": 1e400}'),
+        ("curvature", '{"D": 4.9}'),
+        ("graded", '{"D": 4.9}'),
+    ],
+)
+def test_malformed_config_values_exit_2(command, text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

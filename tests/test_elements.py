@@ -20,6 +20,7 @@ from moyalcalc import (
     is_unitary,
     load_element,
     monomial,
+    parse_expression,
     partial,
     plane_wave,
     pointwise,
@@ -33,7 +34,9 @@ from moyalcalc.cli import main
 from moyalcalc.elements import (
     PRUNE_REL,
     _cached_shift,
+    _kept,
     _monomial_couple,
+    _pruned,
     _shift_monomial,
     _shifted_couple,
 )
@@ -694,3 +697,40 @@ def test_verify_all_residual_lines_pinned(capsys):
     assert main(["verify", "--scope", "all", "--dim", "2", "--seed", "1"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
     assert lines == ALL_D2_SEED1.splitlines()
+
+
+def test_repr_keeps_every_digit_and_parses_back():
+    a = MoyalElement(S2, {((1, 0), (0.0, 0.0)): 1.0000001, ((0, 0), (0.1234567, 0.0)): 2j})
+    b = MoyalElement(S2, {((1, 0), (0.0, 0.0)): 1.0000002, ((0, 0), (0.1234567, 0.0)): 2j})
+    assert repr(a) != repr(b)
+    for e in (a, b, MoyalElement(S2)):
+        text = repr(e)
+        assert text.startswith("MoyalElement(") and text.endswith(")")
+        assert parse_expression(text[len("MoyalElement(") : -1], S2).terms == e.terms
+
+
+def _prune_outcome(f, arg):
+    try:
+        return bool(f(arg))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        0,
+        5e-324,
+        -5e-324,
+        1.0,
+        complex(1e308, 1e308),
+        complex(1.5e308, 1.5e308),
+        float("inf"),
+        float("nan"),
+        complex(float("nan"), 1),
+        complex(1, float("inf")),
+    ],
+)
+def test_one_term_prune_agrees_with_pruned(c):
+    key = ((0, 0), (0.0, 0.0))
+    assert _prune_outcome(_kept, c) == _prune_outcome(_pruned, {key: c})

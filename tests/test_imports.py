@@ -49,6 +49,24 @@ def test_lazy_names_are_the_oneloop_objects():
     assert all(result["same"]) and all(result["listed"])
 
 
+
+def test_package_exports_each_module_all():
+    # _ONELOOP leaves out ir_unit, which stays a oneloop-only name, so the
+    # 20 lazy names pinned above are unchanged
+    result = _run(
+        "import json, moyalcalc\n"
+        "from moyalcalc import structure, elements, expressions, derivations, connections, graded\n"
+        "import moyalcalc.oneloop as o\n"
+        "mods = (structure, elements, expressions, derivations, connections, graded)\n"
+        "print(json.dumps({\n"
+        "    'all': moyalcalc.__all__,\n"
+        "    'modules': sorted({n for m in mods for n in m.__all__} | moyalcalc._ONELOOP),\n"
+        "    'lazy_extra': sorted(moyalcalc._ONELOOP - set(o.__all__)),\n"
+        "}))"
+    )
+    assert result["all"] == result["modules"]
+    assert result["lazy_extra"] == []
+
 def test_unknown_attribute_raises_attribute_error():
     result = _run(
         "import json, moyalcalc\n"
