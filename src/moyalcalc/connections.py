@@ -54,6 +54,7 @@ from .derivations import (
     sym_generator,
 )
 from .elements import MoyalElement, commutator, partial, star, unit
+from .expressions import parse_expression
 from .structure import SymplecticStructure
 
 __all__ = [
@@ -106,11 +107,11 @@ class ConnectionForm:
     def component(self, X: DerivationGenerator) -> MoyalElement:
         return self.components[X.name]
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all((a.dag() - a).norm() <= tol for a in self.components.values())
+    def is_hermitian(self) -> bool:
+        return all((a.dag() - a).norm() <= 1e-12 for a in self.components.values())
 
 
-def eta_rescaled(X: DerivationGenerator, mu_scale: float = 1.0) -> MoyalElement:
+def eta_rescaled(X: DerivationGenerator, mu_scale: float) -> MoyalElement:
     """eta with the quadratic sector scaled by mu_scale * theta."""
     if X.kind == "sym":
         return (mu_scale * X.structure.theta) * eta(X)
@@ -119,7 +120,6 @@ def eta_rescaled(X: DerivationGenerator, mu_scale: float = 1.0) -> MoyalElement:
 
 @dataclass(frozen=True)
 class CovariantCoordinates:
-    structure: SymplecticStructure
     values: dict  # generator name -> element
 
     def __getitem__(self, name: str) -> MoyalElement:
@@ -132,7 +132,7 @@ def covariant_coordinates(A: ConnectionForm) -> CovariantCoordinates:
         X.name: -1j * A.component(X) + eta_rescaled(X, A.mu_scale)
         for X in A.generators()
     }
-    return CovariantCoordinates(A.structure, vals)
+    return CovariantCoordinates(vals)
 
 
 def canonical_connection(
@@ -144,25 +144,25 @@ def canonical_connection(
     return -star(a, eta_rescaled(X, A.mu_scale))
 
 
-@dataclass(frozen=True)
-class CurvatureTable:
-    """Curvature entries keyed by ordered generator-name pairs (basis order)."""
+class CurvatureTable(dict):
+    """Curvature entries keyed by ordered generator-name pairs (i <= j in basis order)."""
 
-    structure: SymplecticStructure
-    entries: dict  # (name_i, name_j) with i <= j in basis order
+    @property
+    def entries(self) -> dict:
+        return self
 
     def __call__(self, n1: str, n2: str) -> MoyalElement:
-        if (n1, n2) in self.entries:
-            return self.entries[(n1, n2)]
-        if (n2, n1) in self.entries:
-            return -self.entries[(n2, n1)]
+        if (n1, n2) in self:
+            return self[(n1, n2)]
+        if (n2, n1) in self:
+            return -self[(n2, n1)]
         raise KeyError((n1, n2))
 
     def map_entries(self, f) -> "CurvatureTable":
-        return CurvatureTable(self.structure, {key: f(val) for key, val in self.entries.items()})
+        return CurvatureTable({key: f(val) for key, val in self.items()})
 
-    def max_distance(self, other: "CurvatureTable") -> float:
-        return gauge.max_residual(self.entries, other.entries)
+    def max_distance(self, other: dict) -> float:
+        return gauge.max_residual(self, other)
 
 
 def curvature(A: ConnectionForm) -> CurvatureTable:
@@ -192,7 +192,7 @@ def curvature(A: ConnectionForm) -> CurvatureTable:
                 + Ti[s_, m] * cov[sym_generator(s, X.nu, Y.mu).name]
             )
         entries[(X.name, Y.name)] = val
-    return CurvatureTable(s, entries)
+    return CurvatureTable(entries)
 
 
 def _bracket_rescaled(X, Y, mu_scale):
@@ -203,15 +203,14 @@ def _bracket_rescaled(X, Y, mu_scale):
 
 def curvature_generic(A: ConnectionForm) -> CurvatureTable:
     """Curvature from the generic formula; must match ``curvature``."""
-    s = A.structure
     entries = gauge.generic_curvature(
         A.generators(),
         covariant_coordinates(A),
         lambda X, Y: _bracket_rescaled(X, Y, A.mu_scale),
         commutator,
-        unit(s),
+        unit(A.structure),
     )
-    return CurvatureTable(s, entries)
+    return CurvatureTable(entries)
 
 
 def canonical_curvature(
@@ -222,7 +221,7 @@ def canonical_curvature(
     entries = gauge.canonical_entries(
         gens, lambda X, Y: _bracket_rescaled(X, Y, mu_scale), unit(s)
     )
-    return CurvatureTable(s, entries)
+    return CurvatureTable(entries)
 
 
 def covariant_derivative(
@@ -238,9 +237,9 @@ def covariant_derivative(
     return cov.partial(mu) - 1j * commutator(A.component(partial_generator(s, mu)), cov)
 
 
-def gauge_transform(A: ConnectionForm, g: MoyalElement, tol: float = 1e-10) -> ConnectionForm:
-    """A^g(X) = g^dag A(X) g + i g^dag X(g) for unitary g."""
-    act = gauge.unitary_action(g, tol, "gauge transformations require a unitary element")
+def gauge_transform(A: ConnectionForm, g: MoyalElement) -> ConnectionForm:
+    """A^g(X) = g^dag A(X) g + i g^dag X(g) for unitary g (to ``gauge.GAUGE_TOL``)."""
+    act = gauge.unitary_action(g, "gauge transformations require a unitary element")
     comps = {}
     for X in A.generators():
         # d_mu takes the exact derivative, not the commutator [eta_mu, g],
@@ -298,11 +297,11 @@ def action_density(A: ConnectionForm, pieces: bool = False):
     return out if pieces else out["total"]
 
 
-def connection_from_config(cfg: dict, parse=None) -> ConnectionForm:
+def connection_from_config(cfg: dict, parse=parse_expression) -> ConnectionForm:
     """Build a connection from the JSON-compatible config mapping.
 
     Expected keys: D, theta, mu, alpha, basis, components (a mapping from
-    generator names to expression strings; requires ``parse``).
+    generator names to expression strings or null, read by ``parse``).
     """
     s = gauge.structure_from_config(cfg, "connection")
     return ConnectionForm(

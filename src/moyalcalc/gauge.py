@@ -15,6 +15,9 @@ from __future__ import annotations
 from .elements import MoyalElement, is_unitary, star
 from .structure import SymplecticStructure
 
+# how far a gauge element may be from unitary (and, graded, from degree 0)
+GAUGE_TOL = 1e-10
+
 
 def pair_iter(gens):
     """Ordered generator pairs (X, Y) with X at or before Y in ``gens``."""
@@ -59,12 +62,12 @@ def fill_components(given: dict, names, s: SymplecticStructure, unknown: str) ->
     return out
 
 
-def unitary_action(g: MoyalElement, tol: float, message: str):
+def unitary_action(g: MoyalElement, message: str):
     """The gauge action (a, X(g)) -> g^dag a g + i g^dag X(g) of a unitary ``g``.
 
-    Without X(g) it is plain conjugation; a ``g`` that is not unitary raises ``message``.
+    Without X(g) it is plain conjugation; ``g`` not unitary to ``GAUGE_TOL`` raises ``message``.
     """
-    if not is_unitary(g, tol):
+    if not is_unitary(g, GAUGE_TOL):
         raise ValueError(message)
     gd = g.dag()
 
@@ -107,18 +110,16 @@ def parse_components(group, s: SymplecticStructure, parse) -> dict:
     """Name -> element, with expression strings parsed by ``parse(expr, s)``.
 
     A missing group or component (``None``) is zero; a group that is not a
-    mapping, or a component that is neither a string nor an element, raises.
+    mapping, or a component that is not a string, raises.
     """
-    group = group or {}
+    group = {} if group is None else group
     if not isinstance(group, dict):
         raise ValueError(f"components must map names to expressions, got {group!r}")
     out = {}
     for name, expr in group.items():
         if isinstance(expr, str):
-            if parse is None:
-                raise ValueError("expression components need a parser")
             expr = parse(expr, s)
-        elif not (expr is None or isinstance(expr, MoyalElement)):
+        elif expr is not None:
             raise ValueError(f"component {name} must be an expression string, got {expr!r}")
         out[name] = expr
     return out

@@ -69,6 +69,7 @@ from .elements import (
     unit,
     xi,
 )
+from .expressions import parse_expression
 from .structure import SymplecticStructure
 
 __all__ = [
@@ -480,19 +481,17 @@ def graded_canonical_curvature(s: SymplecticStructure) -> dict:
     return gauge.canonical_entries(graded_generators(s), bracket_graded_generators, graded_unit(s))
 
 
-def graded_gauge_transform(
-    A: GradedConnectionForm, g: GradedElement, tol: float = 1e-10
-) -> GradedConnectionForm:
-    """Degree-0 unitary gauge transformation.
+def graded_gauge_transform(A: GradedConnectionForm, g: GradedElement) -> GradedConnectionForm:
+    """Degree-0 unitary gauge transformation (both to ``gauge.GAUGE_TOL``).
 
     A^g(X) = g^dag A(X) g + i g^dag X(g), with X(g) = partial_m g for T_m and
     U_m and [eta_(mn), g] for M_mn; phi transforms homogeneously because
     [J-type eta, g] vanishes on degree-0 g.
     """
-    if not g.odd.is_zero(tol):
+    if not g.odd.is_zero(gauge.GAUGE_TOL):
         raise ValueError("graded gauge elements must have degree 0")
     g0 = g.even
-    act = gauge.unitary_action(g0, tol, "gauge transformations require a unitary even part")
+    act = gauge.unitary_action(g0, "gauge transformations require a unitary even part")
     base = g2_basis(A.structure)
     # d_mu takes the exact derivative, not the commutator [eta_mu, g0], which
     # can be an ulp off at non-dyadic theta
@@ -582,11 +581,11 @@ def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
     return out
 
 
-def graded_connection_from_config(cfg: dict, parse=None) -> GradedConnectionForm:
+def graded_connection_from_config(cfg: dict, parse=parse_expression) -> GradedConnectionForm:
     """Build a graded connection from the JSON-compatible mapping.
 
-    Keys: D, theta, m, and component groups A0, A1, G0 (name -> expression)
-    plus phi (expression).  Other keys, such as the ungraded ``mu``, are ignored.
+    Keys: D, theta, m, the groups A0, A1, G0 (name -> expression string or
+    null) and phi, read by ``parse``.  Other keys, such as ``mu``, are ignored.
     """
     s = gauge.structure_from_config(cfg, "graded")
     phi = gauge.parse_components({"phi": cfg.get("phi")}, s, parse)["phi"]

@@ -105,6 +105,9 @@ class LoopConfig:
             p = tuple(float(x) for x in self.p)
             if len(p) != self.D:
                 raise ValueError(f"external momentum must have length {self.D}")
+            # the loop masses take |p|^2, which must stay in float range
+            if not math.isfinite(sum(x * x for x in p)):
+                raise ValueError(f"external momentum p = {p} must have a finite |p|^2")
             object.__setattr__(self, "p", p)
 
     @cached_property
@@ -278,19 +281,26 @@ def bessel_m(Q: float, m: float, x: float) -> float:
     """M_Q(m x) = (m x)^Q K_Q(m x) / m^{2Q}; K_{-Q} = K_Q by construction.
 
     For Q < 0 the massless limit 2^{|Q|-1} Gamma(|Q|) / x^{2|Q|} is returned
-    when m = 0.
+    when m = 0.  A mass outside [0, inf), a radius outside (0, inf) and a
+    power out of float range (m^{2Q} underflowing to zero, (m x)^Q
+    overflowing) raise ``ValueError``.
     """
-    if x <= 0:
-        raise ValueError("the Fourier radius must be positive")
-    if m < 0:
-        raise ValueError("mass must be nonnegative")
+    # float literals keep both tests on the interpreter's float fast path
+    if not (x > 0.0 and x < math.inf):
+        raise ValueError(f"the Fourier radius must be positive and finite, got {x}")
+    if not (m >= 0.0 and m < math.inf):
+        raise ValueError(f"mass must be nonnegative and finite, got {m}")
     if m == 0.0:
         if Q >= 0:
             raise ValueError("massless M_Q needs Q < 0")
         Qa = -Q
         return 2.0 ** (Qa - 1) * gamma_fn(Qa) / x ** (2 * Qa)
     z = m * x
-    return z**Q * float(kv(abs(Q), z)) / m ** (2 * Q)
+    try:
+        return z**Q * float(kv(abs(Q), z)) / m ** (2 * Q)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # for a tiny mass m^(2Q) underflows to zero, or (m x)^Q overflows
+        raise ValueError(f"M_{Q} is out of float range at mass {m}") from exc
 
 
 def _a_nd(N: int, D: int) -> float:

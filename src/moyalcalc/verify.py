@@ -358,11 +358,11 @@ def _connection_samples(s: SymplecticStructure, rng, n_random: int):
     D = s.D
     for _ in range(n_random if D == 2 else max(3, n_random // 6)):
         A = random_connection(rng, s)
-        yield "curvature dual path", conn.curvature(A).max_distance(conn.curvature_generic(A))
+        yield "curvature dual path", max_residual(conn.curvature(A), conn.curvature_generic(A))
 
     Finv = conn.canonical_curvature(s, "G2")
     for X, Y in pair_iter(g2_basis(s)):
-        val = Finv.entries[(X.name, Y.name)]
+        val = Finv[(X.name, Y.name)]
         if X.kind == "partial" and Y.kind == "partial":
             expect = -1j * s.ThetaInv[X.mu - 1, Y.mu - 1] * unit(s)
         else:
@@ -378,12 +378,12 @@ def _connection_samples(s: SymplecticStructure, rng, n_random: int):
     cov = conn.covariant_coordinates(A)
     for _ in range(n_random):
         g = random_gauge(rng, s)
-        act = unitary_action(g, 1e-10, "random gauge element is not unitary")
+        act = unitary_action(g, "random gauge element is not unitary")
         Ag = conn.gauge_transform(A, g)
         covg = conn.covariant_coordinates(Ag)
         conj_cov = {name: act(v) for name, v in cov.values.items()}
         yield "covariant coordinates homogeneous", max_residual(covg.values, conj_cov)
-        yield "curvature gauge covariant", conn.curvature(Ag).max_distance(F.map_entries(act))
+        yield "curvature gauge covariant", max_residual(conn.curvature(Ag), F.map_entries(act))
         Dg = conn.covariant_derivative(Ag, 1, 1, min(2, D))
         yield "covariant derivative covariant", (Dg - act(Dv)).norm()
         yield "action density covariant", (conn.action_density(Ag) - act(dens)).norm()
@@ -518,7 +518,7 @@ def _graded_samples(s: SymplecticStructure, rng, n_random: int):
     Fc = gr.graded_curvature(A)
     for _ in range(n_random // 2):
         g0 = random_gauge(rng, s)
-        act = unitary_action(g0, 1e-10, "random gauge element is not unitary")
+        act = unitary_action(g0, "random gauge element is not unitary")
         Ag = gr.graded_gauge_transform(A, gr.GradedElement(g0, MoyalElement(s, {})))
         yield "phi transforms homogeneously", (Ag.phi - act(A.phi)).norm()
         conj_Fc = {k: gr.GradedElement(act(v.even), act(v.odd)) for k, v in Fc.items()}

@@ -423,6 +423,12 @@ def test_bessel_check_stdout_pinned(capsys):
         ("curvature", '{"D": 1e400}'),
         ("curvature", '{"D": 4.9}'),
         ("graded", '{"D": 4.9}'),
+        ("curvature", '{"D": 2, "components": []}'),
+        ("curvature", '{"D": 2, "components": ""}'),
+        ("curvature", '{"D": 2, "components": 0}'),
+        ("curvature", '{"D": 2, "components": false}'),
+        ("graded", '{"D": 2, "A0": []}'),
+        ("graded", '{"D": 2, "G0": false}'),
     ],
 )
 def test_malformed_config_values_exit_2(command, text, tmp_path, capsys):
@@ -432,3 +438,26 @@ def test_malformed_config_values_exit_2(command, text, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", ["2", "4"])
+def test_oneloop_overflowing_momentum_exits_2(dim, capsys):
+    # |ptilde| = 1e-2 at theta 1e-160 needs |p| = 1e158, whose square is inf
+    code, out, err = run_cli(["oneloop", "--dim", dim, "--theta", "1e-160"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: external momentum") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["curvature", "graded", "oneloop"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_exits_2(command, tol, tmp_path, capsys):
+    argv = [command, "--tol", tol]
+    if command != "oneloop":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"D": 2}')
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tol must be finite and nonnegative") and err.count("\n") == 1

@@ -27,6 +27,7 @@ from moyalcalc import (
     unit,
     xi,
 )
+from moyalcalc import gauge
 from moyalcalc.verify import random_connection, random_element, random_gauge
 
 S2 = SymplecticStructure(2, 1.0)
@@ -288,3 +289,26 @@ def test_connection_from_config():
     bad = dict(cfg, components={"nope": "x1"})
     with pytest.raises(ValueError):
         connection_from_config(bad, parse=parse_expression)
+
+
+def test_config_loader_parses_expressions_by_default():
+    A = connection_from_config({"D": 2, "components": {"d1": "x1", "d2": None}})
+    assert (A.components["d1"] - coordinate(S2, 1)).norm() == 0.0
+    assert A.components["d2"].norm() == 0.0
+
+
+def test_element_components_are_not_config_values():
+    with pytest.raises(ValueError, match="component d1 must be an expression string"):
+        connection_from_config({"D": 2, "components": {"d1": coordinate(S2, 1)}})
+
+
+def test_curvature_tables_are_dicts():
+    rng = np.random.default_rng(7)
+    A = random_connection(rng, S2)
+    F, Fg = curvature(A), curvature_generic(A)
+    for table in (F, Fg, canonical_curvature(S2)):
+        assert isinstance(table, dict)
+        assert table.entries is table
+    assert gauge.max_residual(F, Fg) == F.max_distance(Fg)
+    assert F("d2", "d1").terms == (-F("d1", "d2")).terms
+    assert F.map_entries(lambda v: 2 * v)[("d1", "d2")].terms == (2 * F[("d1", "d2")]).terms

@@ -344,3 +344,14 @@ def test_graded_config_loader_ignores_mu():
     A = graded_connection_from_config(cfg, parse=parse_expression)
     assert A.m_scale == 1.5
     assert (A.A0["d1"] - coordinate(S2, 2)).norm() == 0.0
+
+
+def test_graded_config_loader_parses_expressions_by_default():
+    A = graded_connection_from_config({"D": 2, "A0": {"d1": "x2"}, "phi": "0.5", "G0": None})
+    assert (A.A0["d1"] - coordinate(S2, 2)).norm() == 0.0
+    assert (A.phi - 0.5 * unit(S2)).norm() == 0.0
+
+
+def test_graded_element_components_are_not_config_values():
+    with pytest.raises(ValueError, match="component phi must be an expression string"):
+        graded_connection_from_config({"D": 2, "phi": unit(S2)})

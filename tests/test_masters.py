@@ -151,6 +151,22 @@ def test_bessel_m_symmetry_and_mass_dimension():
             assert abs(bessel_m(-Q, m, x) - direct) < 1e-12 * abs(direct)
 
 
+@pytest.mark.parametrize(
+    "Q, m, x",
+    [
+        (1, math.nan, 1.0),
+        (1, 1.0, math.nan),
+        (1, 1.0, math.inf),
+        (-1, math.inf, 1.0),
+        (1.0, 1e-200, 1.0),  # m^(2Q) underflows to zero
+        (-3, 1e-120, 1.0),  # (m x)^Q overflows
+    ],
+)
+def test_bessel_m_rejects_out_of_range_inputs(Q, m, x):
+    with pytest.raises(ValueError):
+        bessel_m(Q, m, x)
+
+
 def test_small_argument_asymptotics():
     """M_{-Q}(m pt) -> 2^{Q-1} Gamma(Q) / pt^{2Q}, verified to 1% at pt = 1e-3."""
     for Q in (1, 2):
