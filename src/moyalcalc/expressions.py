@@ -13,38 +13,39 @@
 Digits are the Unicode decimal digits that ``int()`` and ``float()`` read
 (``x٣`` is ``x3``); a superscript is not a digit.
 
-A product of literals (real, imaginary and complex numbers, monomials and
-waves) is built as one term ``(alpha, k, c)``, with the IEEE operations the
-element path makes: ``0j + complex(v)`` per literal, then per ``*`` the
-summed exponents, ``_clean_k`` of the summed wave vector and
-``0j + c1 * c2``.  After every factor the one-term form of the element prune
-applies: a zero term vanishes, a non-finite coefficient or an overflowing
-modulus raises ``ValueError``.  Later factors are still read and checked
-after a zero, so an error comes from the same factor, with the same message,
-as when every factor is an element.  Only a parenthesised sum is an element,
-multiplied with ``pointwise``.
+Every factor and product is a pruned term map ``{(alpha, k): c}``, ``{}``
+once zero.  Two one-term maps multiply as one term with the IEEE operations
+``pointwise`` makes for one pair: summed exponents, ``_clean_k`` of the
+summed wave vector, ``0j + c1 * c2``, then the one-term prune, which drops a
+zero and raises ``ValueError`` on a non-finite or overflowing coefficient.
+Any other product goes through ``pointwise``.  A literal is
+``0j + complex(v)``, and later factors are still read and checked after a
+zero, so an error comes from the same factor as with elements.
 
-A sum merges its products' terms into one term map that is pruned and sorted
-once, so parsing is linear in the term count and finishes one element.  From
-the first product that shares a key with the terms before it, the sum folds
-term by term with ``+`` and ``-``, because there the intermediate prunes
-decide which cancelled terms survive (``1e13 + x1 - 1e13`` is ``0``); that
-fold is still quadratic in the term count.  Either way the result equals the
-fold of the whole sum bit for bit.
+A sum keeps one running term map, merges each product into it with ``+`` or
+``-`` as ``MoyalElement`` does, and finishes one element, equal bit for bit
+to the left fold of its products.  At a product that shares a key the
+fold's prunes decide which cancelled terms survive (``1e13 + x1 - 1e13`` is
+``0``), so there the running map is pruned first and the combined
+coefficients are checked where the fold's prune would raise.  Parsing is
+linear in the term count, plus one prune of the running map per product
+that shares a key.
 
-Syntax and range errors carry 1-based column positions.  The printer emits
-one canonical form per element (sorted terms, explicit "*", repr floats), so
-parse(print(e)) reproduces e exactly and printing is idempotent; it builds
-each distinct monomial string and each distinct ``W[...]`` string once per
-call.
+Syntax and range errors carry 1-based column positions, as do a number that
+reads as infinity and parentheses nested deeper than ``_MAX_NESTING``.  The
+printer emits one canonical form per element (sorted terms, explicit "*",
+repr floats), so parse(print(e)) reproduces e exactly and printing is
+idempotent; it builds each distinct monomial string and each distinct
+``W[...]`` string once per call.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from operator import add
+from operator import add, sub
 
-from .elements import MoyalElement, _clean_k, _kept, pointwise
+from .elements import MoyalElement, _clean_k, _kept, _pruned, pointwise
 from .structure import SymplecticStructure
 
 __all__ = ["ExpressionError", "parse_expression", "format_element"]
@@ -56,6 +57,8 @@ _NUMBER = re.compile(r"[\d.]*(?:[eE][+-]?\d+)?")
 _INTEGER = re.compile(r"\d+")
 # the coefficient monomials and waves get: 0j + complex(1.0)
 _ONE = 1 + 0j
+# parenthesised sums nested deeper than this are an error
+_MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -66,18 +69,11 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-def _terms(value) -> dict:
-    """A fresh term dict of a product value: a term, ``None`` or an element."""
-    if isinstance(value, MoyalElement):
-        return dict(value.terms)
-    return {} if value is None else {(value[0], value[1]): value[2]}
-
-
 class _Parser:
     """Recursive descent over the grammar.
 
-    A literal factor and a product of literals are one term ``(alpha, k, c)``,
-    or ``None`` once the product is zero; a parenthesised sum is an element.
+    Every factor and product is a pruned term map ``{(alpha, k): c}``, ``{}``
+    once it is zero.
     """
 
     def __init__(self, text: str, s: SymplecticStructure):
@@ -86,6 +82,7 @@ class _Parser:
         self.s = s
         self.zero_alpha = (0,) * s.D
         self.zero_k = (0.0,) * s.D
+        self.depth = 0
 
     def skip_ws(self):
         self.pos = _WS.match(self.text, self.pos).end()
@@ -113,9 +110,12 @@ class _Parser:
             raise ExpressionError("expected a number", start + 1)
         self.pos = end
         try:
-            return float(text[start:end])
+            value = float(text[start:end])
         except ValueError as exc:
             raise ExpressionError(str(exc), start + 1) from exc
+        if not math.isfinite(value):
+            raise ExpressionError(f"numbers must be finite, got {value}", start + 1)
+        return value
 
     def integer(self) -> int:
         self.skip_ws()
@@ -144,24 +144,25 @@ class _Parser:
             merged = {key: -c for key, c in self.product().items()}
         else:
             merged = self.product()
-        value = None
         while (ch := self.peek()) in ("+", "-"):
             self.pos += 1
             p = self.product()
-            if value is None and not merged.keys().isdisjoint(p):
-                # a shared key can cancel, and the intermediate prunes then
-                # decide which small terms survive, so the rest folds term by
-                # term; up to here one prune keeps what step-by-step prunes
-                # keep, because the largest term survives them all
-                value = MoyalElement._trusted(self.s, merged)
-            if value is None:
-                # a new key gets 0j + c or 0j - c, the value + and - give it
-                for key, c in p.items():
-                    merged[key] = 0j + c if ch == "+" else 0j - c
-            else:
-                p = MoyalElement._trusted(self.s, p)
-                value = value + p if ch == "+" else value - p
-        return MoyalElement._trusted(self.s, merged) if value is None else value
+            op = add if ch == "+" else sub
+            # the left fold prunes after every product.  From one product that
+            # shares a key to the next no coefficient changes and the largest
+            # modulus only grows, so one prune at the next keeps what those
+            # prunes keep.  A shared key can cancel, so the map is pruned
+            # before it is combined, as the fold's was
+            shared = not merged.keys().isdisjoint(p)
+            if shared:
+                merged = _pruned(merged)
+            for key, c in p.items():
+                merged[key] = op(merged.get(key, 0j), c)
+            if shared:
+                # raise where the fold's prune raises: only a combined
+                # coefficient can stop being finite
+                _pruned({key: merged[key] for key in p})
+        return MoyalElement._trusted(self.s, merged)
 
     def _starts_factor(self, ch: str) -> bool:
         return bool(ch) and (ch in "(xW." or ch.isdecimal())
@@ -178,20 +179,19 @@ class _Parser:
             elif not self._starts_factor(ch):
                 break
             value = self._times(value, self.factor())
-        return _terms(value)
+        return value
 
-    def _times(self, a, b):
-        """``pointwise`` of two factors, computed on terms where both are terms.
+    def _times(self, a: dict, b: dict) -> dict:
+        """``pointwise`` of two factors, computed on the terms for one-term maps.
 
         The term product makes the IEEE operations ``pointwise`` makes for
         one term pair: summed exponents, ``_clean_k`` of the summed wave
         vector, ``0j + c1 * c2``, then the one-term prune.
         """
-        if isinstance(a, MoyalElement) or isinstance(b, MoyalElement):
-            return pointwise(self._element(a), self._element(b))
-        if a is None or b is None:
-            return None
-        (alpha1, k1, c1), (alpha2, k2, c2) = a, b
+        if len(a) != 1 or len(b) != 1:
+            a, b = MoyalElement._trusted(self.s, a), MoyalElement._trusted(self.s, b)
+            return pointwise(a, b).terms
+        [((alpha1, k1), c1)], [((alpha2, k2), c2)] = a.items(), b.items()
         # adding the zero vector to a snapped vector and snapping again
         # returns it unchanged (snapped components are never -0.0)
         if k1 is self.zero_k:
@@ -201,19 +201,14 @@ class _Parser:
         else:
             k = _clean_k(map(add, k1, k2))
         c = 0j + c1 * c2
-        return (tuple(map(add, alpha1, alpha2)), k, c) if _kept(c) else None
+        return {(tuple(map(add, alpha1, alpha2)), k): c} if _kept(c) else {}
 
-    def _element(self, value) -> MoyalElement:
-        if isinstance(value, MoyalElement):
-            return value
-        return MoyalElement._trusted(self.s, _terms(value))
-
-    def _literal(self, v):
+    def _literal(self, v) -> dict:
         """The term ``unit(s, v)`` holds: ``0j + complex(v)``, pruned."""
         c = 0j + complex(v)
-        return (self.zero_alpha, self.zero_k, c) if _kept(c) else None
+        return {(self.zero_alpha, self.zero_k): c} if _kept(c) else {}
 
-    def factor(self):
+    def factor(self) -> dict:
         ch = self.peek()
         if ch == "x":
             return self.monomial()
@@ -225,7 +220,7 @@ class _Parser:
             return self.scalar()
         raise ExpressionError("expected a factor", self.column())
 
-    def monomial(self) -> tuple:
+    def monomial(self) -> dict:
         col = self.column()
         self.expect("x")
         idx = self.integer()
@@ -239,9 +234,9 @@ class _Parser:
             power = self.integer()
         alpha = [0] * self.s.D
         alpha[idx - 1] = power
-        return (tuple(alpha), self.zero_k, _ONE)
+        return {(tuple(alpha), self.zero_k): _ONE}
 
-    def wave(self) -> tuple:
+    def wave(self) -> dict:
         col = self.column()
         self.expect("W")
         self.expect("[")
@@ -254,16 +249,16 @@ class _Parser:
             raise ExpressionError(
                 f"wave vector needs {self.s.D} components, got {len(comps)}", col
             )
-        return (self.zero_alpha, _clean_k(comps), _ONE)
+        return {(self.zero_alpha, _clean_k(comps)): _ONE}
 
-    def scalar(self):
+    def scalar(self) -> dict:
         value = self.number()
         if self.pos < len(self.text) and self.text[self.pos] == "i":
             self.pos += 1
             return self._literal(1j * value)
         return self._literal(value)
 
-    def paren(self):
+    def paren(self) -> dict:
         # try the parenthesised complex literal "(re +- im i)" first
         save = self.pos
         self.expect("(")
@@ -281,10 +276,17 @@ class _Parser:
             return self._literal(complex(re_, im_ if sign_ch == "+" else -im_))
         except ExpressionError:
             self.pos = save
+        # a sum recurses through product and factor, so its depth is bounded
+        # before the interpreter's recursion limit is reached
+        if self.depth == _MAX_NESTING:
+            raise ExpressionError(f"parentheses nest deeper than {_MAX_NESTING} levels", self.column())
         self.expect("(")
-        value = self.sum()
+        self.depth += 1
+        # a fresh dict: nothing else holds the sum's element
+        terms = self.sum().terms
+        self.depth -= 1
         self.expect(")")
-        return value
+        return terms
 
 
 def parse_expression(text: str, s: SymplecticStructure) -> MoyalElement:

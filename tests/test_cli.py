@@ -41,6 +41,16 @@ def test_star_non_finite_wave_exits_2(left, right, capsys):
     assert out == ""
 
 
+def test_star_deeply_nested_parentheses_exit_2(capsys):
+    # the parser stops at its nesting limit instead of the recursion limit
+    nested = "(" * 5000 + "x1" + ")" * 5000
+    code, out, err = run_cli(["star", "--dim", "2", "--", nested, "1"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "column" in err
+    assert err.count("\n") == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "left, right", [("1e308", "1e308"), ("1e200*x1", "1e200*x2"), ("x2^200", "x1^200")]
 )

@@ -273,3 +273,127 @@ def test_digits_are_the_digits_int_reads():
     assert err.value.column == 4
     assert parse_expression("x٣", S4).terms == monomial(S4, (0, 0, 1, 0)).terms
     assert parse_expression("٢.٥ x١^٢", S2).terms == monomial(S2, (2, 0), 2.5).terms
+
+
+def test_shared_key_prefix_keeps_sum_parsing_linear(monkeypatch):
+    """A key shared early does not make the rest of the sum fold term by term."""
+    from moyalcalc import elements, expressions
+
+    n = 2000
+    e = MoyalElement(S2, {((i % 50, i // 50), (0.0, 0.0)): 1.0 + i for i in range(n)})
+    text = "x1 + x1 + " + format_element(e)
+    x1 = parse_expression("x1", S2)
+    sizes = []
+    pruned = elements._pruned
+
+    def counting(merged):
+        sizes.append(len(merged))
+        return pruned(merged)
+
+    monkeypatch.setattr(elements, "_pruned", counting)
+    monkeypatch.setattr(expressions, "_pruned", counting, raising=False)
+    assert _bits(parse_expression(text, S2)) == _bits(x1 + x1 + e)
+    assert sum(sizes) <= 10 * n
+
+
+def _signed_text(products):
+    """The text of a sum: each product is a signed literal product such as
+    ``"+x1"`` (unsigned when first), or ``(sign, factor, inner)`` for
+    ``factor*(inner sum)``."""
+    out = []
+    for p in products:
+        if isinstance(p, str):
+            out.append(p)
+        else:
+            sign, factor, inner = p
+            out.append(f"{sign}{factor}*({_signed_text(inner)})")
+    return " ".join(out)
+
+
+def _left_fold(products, s):
+    """The left fold with + and - of separately parsed products; a
+    parenthesised sum is itself folded, then multiplied with ``pointwise``."""
+    value = None
+    for p in products:
+        if isinstance(p, str):
+            sign, text = (p[0], p[1:]) if p[0] in "+-" else ("+", p)
+            v = parse_expression(text, s)
+        else:
+            sign, factor, inner = p
+            v = pointwise(parse_expression(factor, s), _left_fold(inner, s))
+        if value is None:
+            value = v
+        else:
+            value = value + v if sign == "+" else value - v
+    return value
+
+
+_CANCELLING = ["1e13", "+x1", "+x2", "-1e13", "+x1"]
+_PRUNED_BEFORE = ["1e20", "+1e-10*x1", "+x2", "+1e-10*x1", "-1e20", "+x1"]
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        # the top term cancels after a long run of new keys
+        _CANCELLING,
+        ["1e13", "+x1", "+x2", "+x1*x2", "+W[0.5,0.0]", "-1e13", "+x2", "-x1"],
+        # the shared key's earlier value was already pruned by the fold
+        ["1e20", "+1e-10*x1", "+1e-10*x1"],
+        _PRUNED_BEFORE,
+        ["1e20", "+1e-10*x1", "-1e20", "+1e-10*x1", "+x2", "-x2"],
+        # shared keys inside parentheses
+        ["x1", ("+", "1.0", _CANCELLING), "-x2"],
+        ["x2", ("-", "x2", _PRUNED_BEFORE), "+x1*x2", ("+", "3.0", ["x1", "-x1"])],
+    ],
+)
+def test_sum_parsing_matches_the_fold_at_shared_keys(products):
+    """At each shared key the sum equals the left fold of its separately
+    parsed products, bit for bit."""
+    text = _signed_text(products)
+    assert _bits(parse_expression(text, S2)) == _bits(_left_fold(products, S2)), text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e308 + 1e308 + )", "coefficients must be finite"),
+        ("x2 - 1e308*x1 - 1e308*x1 + x9", "coefficients must be finite"),
+        ("1.3e308*x1 + 1.3e308i*x1 + *", "coefficients must be finite, got a modulus that overflows"),
+    ],
+)
+def test_shared_key_overflow_raises_at_its_product(text, message):
+    """A combined coefficient that stops being finite raises before later
+    input is read, as the fold's prune does."""
+    with pytest.raises(ValueError) as err:
+        parse_expression(text, S2)
+    assert str(err.value) == message
+
+
+def test_parenthesis_nesting_limit():
+    """Parenthesised sums nest up to a fixed depth, and deeper ones raise at
+    the first parenthesis past it."""
+    from moyalcalc.expressions import _MAX_NESTING
+
+    depth = _MAX_NESTING
+    text = "(" * depth + "x1" + ")" * depth
+    assert parse_expression(text, S2).terms == monomial(S2, (1, 0)).terms
+    # a parenthesised complex literal is not a nested sum
+    inner = "(" * depth + "(1.5-0.25i)*x1" + ")" * depth
+    assert parse_expression(inner, S2).terms == monomial(S2, (1, 0), 1.5 - 0.25j).terms
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("x2 + " + "(" * (depth + 1) + "x1" + ")" * (depth + 1), S2)
+    assert err.value.column == 5 + depth + 1
+
+
+def test_infinite_literal_is_positioned():
+    """A number that reads as infinity raises at its own column."""
+    with pytest.raises(ExpressionError, match="finite") as err:
+        parse_expression("x1 + 1e400", S2)
+    assert err.value.column == 6
+    with pytest.raises(ExpressionError, match="finite") as err:
+        parse_expression("W[0,-1e400]", S2)
+    assert err.value.column == 5
+    # a product of finite literals that overflows keeps the element's message
+    with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+        parse_expression("1e200*1e200*x1", S2)
