@@ -34,10 +34,12 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
     the bilinear sum of these over the monomials of the two shifts;
   * couplings are pure functions of (alpha1, v, alpha2, w, Theta), so they
     come from two bounded process-wide caches: ``_monomial_couple`` (1024
-    entries) when neither side is shifted and ``_shifted_couple`` (256
-    entries) otherwise.  A miss of the latter takes its two shift expansions
-    from a third, ``_cached_shift`` (256 entries).  Cached dicts are shared
-    and read-only;
+    entries) when neither side is shifted and ``_shifted_couple`` otherwise.
+    The latter is bounded by the coefficients it holds (16,384, about 2 MB),
+    evicts its oldest results first and never stores a result larger than
+    that, so the generic curvature path finds the couplings the closed path
+    computed.  A miss of it takes its two shift expansions from a third,
+    ``_cached_shift`` (256 entries).  Cached dicts are shared and read-only;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
     significant bits) and is not snapped above, so k1 + k2 needs no
@@ -66,8 +68,10 @@ wave sum that overflows), raises ``ValueError``.
 from __future__ import annotations
 
 import cmath
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, update_wrapper
 from itertools import product
 from math import comb, isfinite, perm
 from operator import add, sub
@@ -476,10 +480,70 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
     return out
 
 
-# kept apart from _monomial_couple: shifted couplings are larger (a few KB at
-# degree 8), so one shared cache either evicts the small unshifted entries at
-# 256 slots or holds megabytes of them at 1024
-@lru_cache(maxsize=256)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _CoefficientCache:
+    """A memo of a dict-valued pure function, bounded by the coefficients it holds.
+
+    ``cache_info()`` and ``cache_clear()`` are those of ``lru_cache``, except
+    that ``maxsize`` and ``currsize`` count coefficients (the total length of
+    the stored dicts).  Results are evicted oldest-inserted first, and a
+    single result longer than the budget is returned but never stored.  A
+    hot loop may look keys up in ``results`` itself, one dict lookup per hit,
+    call ``miss`` for a key it did not find and report its hits with
+    ``count_hits``.  The function runs outside the lock,
+    which guards only the counters, insertion and eviction; results are
+    shared, so callers must not mutate them.
+    """
+
+    def __init__(self, func, budget: int):
+        update_wrapper(self, func)
+        self.results = OrderedDict()  # key -> result, oldest first
+        self._budget = budget
+        self._lock = threading.Lock()
+        self._held = self._hits = self._misses = 0
+
+    def __call__(self, *key):
+        out = self.results.get(key)
+        if out is None:
+            return self.miss(key)
+        self.count_hits(1)
+        return out
+
+    def count_hits(self, n: int):
+        with self._lock:
+            self._hits += n
+
+    def miss(self, key: tuple):
+        """Compute the result for ``key`` and store it when it fits the budget."""
+        out = self.__wrapped__(*key)
+        size = len(out)
+        with self._lock:
+            self._misses += 1
+            if size <= self._budget and key not in self.results:
+                self.results[key] = out
+                self._held += size
+                while self._held > self._budget:
+                    self._held -= len(self.results.popitem(last=False)[1])
+        return out
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self._budget, self._held)
+
+    def cache_clear(self):
+        with self._lock:
+            self.results.clear()
+            self._held = self._hits = self._misses = 0
+
+
+# bounded by coefficients, not entries: a shifted coupling holds from one
+# coefficient to hundreds, so an entry count bounds neither the memory nor
+# what stays reusable.  16,384 coefficients (about 2 MB) hold the couplings a
+# D=4 curvature table's closed path computes until its generic path asks for
+# the same ones
+@partial(_CoefficientCache, budget=16384)
 def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, planes: tuple) -> dict:
     """The coupling of x^alpha1 shifted by v and x^alpha2 shifted by w.
 
@@ -533,6 +597,8 @@ def _star_terms(left: list, right: list, s: SymplecticStructure) -> dict:
     ``left`` and ``right`` are the ``kernel()`` data of the two factors.
     """
     planes = s._planes
+    shifted = _shifted_couple.results.get
+    hits = 0
     out = {}
     for alpha1, k1, c1, a1_any, wave1 in left:
         for alpha2, k2, c2, a2_any, wave2 in right:
@@ -556,10 +622,17 @@ def _star_terms(left: list, right: list, s: SymplecticStructure) -> dict:
             if v is None and w is None:
                 combined = _monomial_couple(alpha1, alpha2, planes)
             else:
-                combined = _shifted_couple(alpha1, v, alpha2, w, planes)
+                coupling = (alpha1, v, alpha2, w, planes)
+                combined = shifted(coupling)
+                if combined is None:
+                    combined = _shifted_couple.miss(coupling)
+                else:
+                    hits += 1
             for alpha, c in combined.items():
                 key = (alpha, kout)
                 out[key] = out.get(key, 0j) + coeff * c
+    if hits:
+        _shifted_couple.count_hits(hits)
     return out
 
 

@@ -2,13 +2,17 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from moyalcalc.cli import CONVENTIONS, _build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -345,8 +349,10 @@ def test_byte_identical_reruns(tmp_path):
         "--seed",
         "11",
     ]
-    r1 = subprocess.run(cmd, capture_output=True)
-    r2 = subprocess.run(cmd, capture_output=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    r1 = subprocess.run(cmd, capture_output=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, env=env)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
 

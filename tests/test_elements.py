@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 from fractions import Fraction
@@ -15,8 +16,14 @@ from moyalcalc import (
     Term,
     anticommutator,
     commutator,
+    connection_from_config,
     coordinate,
+    curvature,
+    curvature_generic,
     dump_element,
+    graded_connection_from_config,
+    graded_curvature,
+    graded_curvature_generic,
     is_unitary,
     load_element,
     monomial,
@@ -645,6 +652,154 @@ def test_element_stays_immutable_with_its_kernel_memo():
         with pytest.raises(AttributeError, match="immutable"):
             setattr(a, name, None)
     assert a.kernel() is data
+
+
+def _tables_shaped_config(graded, seed):
+    """A D=4 config whose every component is a wave-dressed linear term plus a
+    wave-dressed quadratic one, the shape of the ``tables-d4`` benchmark's."""
+    rng = np.random.default_rng(seed)
+    grid = [k / 16 for k in range(-32, 33) if k]
+
+    def term(degree):
+        c = complex(rng.integers(-16, 17) / 8, rng.integers(1, 17) / 8)
+        xs = "*".join(f"x{i}" for i in rng.integers(1, 5, degree))
+        k = ",".join(repr(float(x)) for x in rng.choice(grid, 4))
+        return f"({c.real!r}+{c.imag!r}i)*{xs}*W[{k}]"
+
+    def group(names):
+        return {n: f"{term(1)} + {term(2)}" for n in names}
+
+    dnames = [f"d{m}" for m in range(1, 5)]
+    xnames = [f"X{m}{n}" for m in range(1, 5) for n in range(m, 5)]
+    if graded:
+        return {"D": 4, "theta": 1.25, "m": 0.75, "A0": group(dnames), "A1": group(dnames),
+                "G0": group(xnames), "phi": f"{term(1)} + {term(2)}"}
+    return {"D": 4, "theta": 1.25, "mu": 0.75, "alpha": 1.5, "basis": "G2",
+            "components": group(dnames + xnames)}
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_generic_curvature_reuses_the_closed_paths_couplings(graded):
+    # both paths star-multiply covariant coordinates with the same supports,
+    # so the shifted-coupling cache must still hold every coupling the closed
+    # path computed when the generic path asks for it
+    cfg = _tables_shaped_config(graded, seed=5)
+    if graded:
+        A, closed, generic = (graded_connection_from_config(cfg), graded_curvature,
+                              graded_curvature_generic)
+    else:
+        A, closed, generic = connection_from_config(cfg), curvature, curvature_generic
+    _shifted_couple.cache_clear()
+    closed(A)
+    after_closed = _shifted_couple.cache_info()
+    generic(A)
+    after_generic = _shifted_couple.cache_info()
+    assert after_closed.misses > 1000
+    assert after_generic.misses == after_closed.misses
+    assert after_generic.hits > after_closed.hits + 1000
+
+
+def _coupling_bits(coupling):
+    return [(alpha, c.real.hex(), c.imag.hex()) for alpha, c in coupling.items()]
+
+
+def _check_coupling_store():
+    """The held count is the stored results' total size, within the budget,
+    and every stored result still has the bits of a fresh computation."""
+    info = _shifted_couple.cache_info()
+    stored = list(_shifted_couple.results.items())
+    assert info.currsize == sum(len(result) for _key, result in stored)
+    assert info.currsize <= info.maxsize
+    for key, result in stored:
+        assert _coupling_bits(result) == _coupling_bits(_shifted_couple.__wrapped__(*key))
+
+
+def _star_bulk_sized_pair():
+    # the shapes of the benchmark's first D=2 star-bulk product: 18 and 16
+    # terms of degree up to 8, some with waves
+    s = SymplecticStructure(2, 0.75)
+    rng = np.random.default_rng(17)
+
+    def element(shape):
+        terms = {}
+        for degree, wave in shape:
+            a = int(rng.integers(0, degree + 1))
+            alpha = (a, degree - a)
+            k = tuple(rng.integers(-32, 33, 2) / 16) if wave else (0.0, 0.0)
+            terms[(alpha, k)] = complex(rng.integers(1, 17) / 8, rng.integers(-16, 17) / 8)
+        return MoyalElement(s, terms)
+
+    left = element([(d, i % 3 != 1) for i, d in enumerate((0, 1, 2, 3, 4, 5, 6, 7, 8) * 2)])
+    right = element([(d, i % 2 == 0) for i, d in enumerate((1, 2, 3, 4, 5, 6, 7, 8) * 2)])
+    return left, right
+
+
+def test_shifted_coupling_store_holds_its_budget():
+    _shifted_couple.cache_clear()
+    rng = np.random.default_rng(23)
+    star(*_star_bulk_sized_pair())
+    _product_battery([(random_element(rng, s, 6, 4), random_element(rng, s, 6, 4))
+                      for s in (SymplecticStructure(2, 0.3), SymplecticStructure(4, 1.0))
+                      for _ in range(3)])
+    info = _shifted_couple.cache_info()
+    # the battery computed more than the store keeps, so it evicted
+    assert info.misses > len(_shifted_couple.results)
+    assert info.currsize > info.maxsize // 2
+    _check_coupling_store()
+
+
+def test_coupling_larger_than_the_budget_is_returned_but_not_stored():
+    s = SymplecticStructure(2, 0.5)
+    _shifted_couple.cache_clear()
+    _product_battery([(random_element(np.random.default_rng(29), s),) * 2])
+    before = _shifted_couple.cache_info()
+    held = list(_shifted_couple.results)
+    # a shifted x1^128 x2^128 against the unit has 129^2 coefficients
+    key = ((128, 128), (0.25, -0.5), (0, 0), None, s._planes)
+    got = _shifted_couple(*key)
+    assert len(got) > before.maxsize
+    assert _coupling_bits(got) == _coupling_bits(_shifted_couple.__wrapped__(*key))
+    assert key not in _shifted_couple.results
+    assert list(_shifted_couple.results) == held
+    after = _shifted_couple.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 1
+    _check_coupling_store()
+
+
+def test_coupling_store_under_racing_threads():
+    # more threads than cores fill and evict the store at once on fresh
+    # elements; each must get the single-thread bits, and the store must
+    # keep its size invariants
+    def build():
+        rng = np.random.default_rng(37)
+        return [(random_element(rng, s, 6, 4), random_element(rng, s, 6, 4))
+                for s in (SymplecticStructure(2, 0.3), SymplecticStructure(4, 1.0))
+                for _ in range(3)]
+
+    _shifted_couple.cache_clear()
+    want = _product_battery(build())
+    n = (os.cpu_count() or 1) + 2
+    results = [None] * n
+
+    def work(i):
+        results[i] = _product_battery(build())
+
+    _shifted_couple.cache_clear()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * n
+    assert _shifted_couple.cache_info().misses > len(_shifted_couple.results)
+    _check_coupling_store()
 
 
 # residual lines of ``verify --scope all --dim 2 --seed 1`` as printed before
