@@ -39,7 +39,17 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
     evicts its oldest results first and never stores a result larger than
     that, so the generic curvature path finds the couplings the closed path
     computed.  A miss of it takes its two shift expansions from a third,
-    ``_cached_shift`` (256 entries).  Cached dicts are shared and read-only;
+    ``_cached_shift`` (256 entries).  Cached results are shared and
+    read-only;
+  * a shifted coupling with at least ``_PLAN_PAIRS`` (16) pairs of shift
+    monomials is replayed from a numpy plan of its template (the exponents,
+    which shift components are nonzero, and Theta), built the third time
+    the template is seen: an outer product of the shift coefficients, one
+    float multiply per contribution and a bincount per output slot, the
+    loop's IEEE operations in the loop's order, so the bits and the key
+    order are the loop's (``_replay`` gives the argument).  Plans are kept by
+    ``_couple_plan``, bounded by the contributions they hold (131,072), with
+    the narrowest exact dtypes; a product that could overflow runs the loop;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
     significant bits) and is not snapped above, so k1 + k2 needs no
@@ -69,11 +79,12 @@ from __future__ import annotations
 
 import cmath
 import threading
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict, deque, namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial, update_wrapper
-from itertools import product
-from math import comb, isfinite, perm
+from itertools import chain, product
+from math import comb, inf, isfinite, perm
 from operator import add, sub
 
 import numpy as np
@@ -451,6 +462,12 @@ def _plane_couple(a1: int, a2: int, b1: int, b2: int, t: float) -> list:
     return out
 
 
+# the exponent tuples ``_monomial_couple`` made, so that the couplings and plans
+# that hold equal tuples share one object; cleared when it outgrows this
+_ALPHAS_MAX = 1 << 16
+_alphas = {}
+
+
 @lru_cache(maxsize=1024)
 def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
     """exp(i/2 Theta^{mu nu} d_mu (x) d_nu) x^alpha1 (x) x^alpha2, multiplied out.
@@ -461,6 +478,9 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
     the correctly rounded exact value, and exact at dyadic theta. The result is
     shared, so callers must not mutate it.
     """
+    if len(_alphas) > _ALPHAS_MAX:
+        _alphas.clear()
+    intern = _alphas.setdefault
     out = {}
     for combo in product(*(_plane_couple(alpha1[i], alpha1[j], alpha2[i], alpha2[j], t)
                            for i, j, t in planes)):
@@ -476,7 +496,7 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
             c = num / den
         except OverflowError:
             raise ValueError("coefficients must be finite") from None
-        out[key] = complex(0.0, c) if order % 2 else complex(c, 0.0)
+        out[intern(key, key)] = complex(0.0, c) if order % 2 else complex(c, 0.0)
     return out
 
 
@@ -484,22 +504,24 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _CoefficientCache:
-    """A memo of a dict-valued pure function, bounded by the coefficients it holds.
+    """A memo of a pure function, bounded by the total length of the results it holds.
 
-    ``cache_info()`` and ``cache_clear()`` are those of ``lru_cache``, except
-    that ``maxsize`` and ``currsize`` count coefficients (the total length of
-    the stored dicts).  Results are evicted oldest-inserted first, and a
-    single result longer than the budget is returned but never stored.  A
-    hot loop may look keys up in ``results`` itself, one dict lookup per hit,
-    call ``miss`` for a key it did not find and report its hits with
-    ``count_hits``.  The function runs outside the lock,
-    which guards only the counters, insertion and eviction; results are
-    shared, so callers must not mutate them.
+    A coupling's length is its number of coefficients, a plan's its number
+    of contributions.  ``cache_info()`` and ``cache_clear()`` are those of
+    ``lru_cache``, except that ``maxsize`` and ``currsize`` count that length.
+    Results are evicted oldest-inserted first, and a single result longer
+    than the budget is returned but never stored.  A hot loop
+    may look keys up in ``results`` itself (a dict, oldest first), one dict
+    lookup per hit, call ``miss`` for a key it did not find and report its
+    hits with ``count_hits``.  The function runs outside the lock, which
+    guards only the counters, insertion and eviction; results are shared, so
+    callers must not mutate them.
     """
 
     def __init__(self, func, budget: int):
         update_wrapper(self, func)
-        self.results = OrderedDict()  # key -> result, oldest first
+        self.results = {}  # key -> result, oldest first
+        self._order = deque()  # the keys of ``results``, oldest first
         self._budget = budget
         self._lock = threading.Lock()
         self._held = self._hits = self._misses = 0
@@ -519,13 +541,17 @@ class _CoefficientCache:
         """Compute the result for ``key`` and store it when it fits the budget."""
         out = self.__wrapped__(*key)
         size = len(out)
+        results = self.results
         with self._lock:
             self._misses += 1
-            if size <= self._budget and key not in self.results:
-                self.results[key] = out
-                self._held += size
-                while self._held > self._budget:
-                    self._held -= len(self.results.popitem(last=False)[1])
+            # a thread that raced us here may have stored the key already
+            if size <= self._budget and results.setdefault(key, out) is out:
+                order = self._order
+                order.append(key)
+                held = self._held + size
+                while held > self._budget:
+                    held -= len(results.pop(order.popleft()))
+                self._held = held
         return out
 
     def cache_info(self) -> _CacheInfo:
@@ -535,6 +561,7 @@ class _CoefficientCache:
     def cache_clear(self):
         with self._lock:
             self.results.clear()
+            self._order.clear()
             self._held = self._hits = self._misses = 0
 
 
@@ -544,21 +571,216 @@ class _CoefficientCache:
 # D=4 curvature table's closed path computes until its generic path asks for
 # the same ones
 @partial(_CoefficientCache, budget=16384)
-def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, planes: tuple) -> dict:
+def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, planes: tuple):
     """The coupling of x^alpha1 shifted by v and x^alpha2 shifted by w.
 
     ``v`` or ``w`` is None for a side that is not shifted. The coupling is
     bilinear, so it is the sum of ``_monomial_couple`` over the monomials of
-    the two shifts. The result is shared, so callers must not mutate it.
+    the two shifts, ``_bilinear_sum``.  With at least ``_PLAN_PAIRS`` pairs
+    of them it is replayed from its template's plan instead, with the same
+    bits, once the template has been seen twice before (see ``_PlanStore``).
+    The result is a dict or a ``_Replayed`` mapping; it is shared, so callers
+    must not mutate it.
     """
+    left = _cached_shift(alpha1, v)
     right = _cached_shift(alpha2, w)
+    if len(left) * len(right) >= _PLAN_PAIRS:
+        plan = _couple_plan.lookup((alpha1, v and tuple(map(bool, v)),
+                                    alpha2, w and tuple(map(bool, w)), planes))
+        # below this bound no product of the replay overflows (see _replay)
+        if plan is not None and (sum(map(abs, left.values())) * sum(map(abs, right.values()))
+                                 * plan.top < inf):
+            try:
+                return _replay(plan, left, right)
+            except FloatingPointError:
+                pass  # numpy set to raise on underflow, which Python floats ignore
+    return _bilinear_sum(left, right, planes)
+
+
+def _bilinear_sum(left: dict, right: dict, planes: tuple) -> dict:
+    """The sum of c1 c2 ``_monomial_couple(beta1, beta2)`` over two shifts' monomials."""
     out = {}
-    for beta1, c1 in _cached_shift(alpha1, v).items():
+    for beta1, c1 in left.items():
         for beta2, c2 in right.items():
             scale = c1 * c2
             for alpha, c in _monomial_couple(beta1, beta2, planes).items():
                 out[alpha] = out.get(alpha, 0j) + scale * c
     return out
+
+
+# ---------------------------------------------------------------------------
+# replay plans of large shifted couplings
+# ---------------------------------------------------------------------------
+
+# a shifted coupling with at least this many pairs of shift monomials is
+# replayed from a plan; below it numpy's per-call cost outweighs the loop
+_PLAN_PAIRS = 16
+# a template's plan is built the third time it is seen: in one large product
+# most repeated templates are seen twice, where a plan does not pay back
+_PLAN_SIGHTING = 3
+# the narrower float types a plan's coefficients may be stored in, with their
+# largest finite values
+_NARROW_FLOATS = tuple((t, float(np.finfo(t).max)) for t in (np.float16, np.float32))
+
+
+def _support(alpha: tuple, mask) -> list:
+    """The monomials of ``_shift_monomial(alpha, v)``, in its order.
+
+    They depend on v only through ``mask``, which says for each axis whether
+    v_mu is nonzero (None for no shift).
+    """
+    if mask is None:
+        return [alpha]
+    return list(product(*(range(a, -1, -1) if m else (a,) for a, m in zip(alpha, mask))))
+
+
+class _Plan:
+    """``_bilinear_sum`` of one template as arrays; ``len`` counts contributions.
+
+    A contribution is one term c1 c2 m of the loop, in the loop's order (pairs
+    of shift monomials, then the ``_monomial_couple`` dict of the pair).
+    ``coeffs`` holds each m as one float, since every ``_monomial_couple``
+    value is purely real or purely imaginary.  ``index`` holds, for each of the
+    ``pairs`` pairs, how many contributions it makes, then for each
+    contribution its slot: 2 n for the real part of output monomial ``keys[n]``
+    and 2 n + 1 for its imaginary part.  Both arrays have the narrowest dtype
+    that holds their values exactly.  ``top`` is the largest |m|.
+    """
+
+    __slots__ = ("keys", "pairs", "index", "coeffs", "top")
+
+    def __len__(self):
+        return len(self.coeffs)
+
+
+class _PlanStore(_CoefficientCache):
+    """The plans of templates, built the ``_PLAN_SIGHTING``-th time a template is seen.
+
+    Building a plan costs about two loops of a template already seen, so a
+    template seen fewer times runs only the loop; ``lookup`` returns None
+    for it.  The sighting counts are kept by template hash, most recent
+    last, for up to ``seen_max`` templates (a template whose hash collides
+    with another's is only planned early).  ``cache_info`` counts the plans
+    built as misses.
+    """
+
+    def __init__(self, func, budget: int, seen_max: int):
+        super().__init__(func, budget)
+        self._seen = OrderedDict()  # template hash -> sightings so far
+        self._seen_max = seen_max
+
+    def lookup(self, template: tuple):
+        plan = self.results.get(template)
+        if plan is not None:
+            self.count_hits(1)
+            return plan
+        key = hash(template)
+        with self._lock:
+            seen = self._seen.pop(key, 0) + 1
+            if seen < _PLAN_SIGHTING:
+                self._seen[key] = seen
+                if len(self._seen) > self._seen_max:
+                    self._seen.popitem(last=False)
+        return self.miss(template) if seen >= _PLAN_SIGHTING else None
+
+    def cache_clear(self):
+        super().cache_clear()
+        with self._lock:
+            self._seen.clear()
+
+
+# bounded by contributions: a plan stores 3 to 12 bytes per contribution (a
+# slot and a coefficient in the narrowest exact dtypes) plus its key tuple;
+# 131,072 of them hold every plan one pass of the benchmark's large products
+# uses, about 1 MB
+@partial(_PlanStore, budget=1 << 17, seen_max=4096)
+def _couple_plan(alpha1: tuple, mask1, alpha2: tuple, mask2, planes: tuple) -> _Plan:
+    """The plan of a template, a shifted coupling with the shift values left out.
+
+    ``mask1`` and ``mask2`` fix the monomials of both shifts (``_support``),
+    so they fix every operation of ``_bilinear_sum`` but the values of c1 and
+    c2.  A ``_monomial_couple`` coefficient beyond the float range raises its
+    ``ValueError`` here, as in the loop.
+    """
+    couples = [_monomial_couple(beta1, beta2, planes)
+               for beta1, beta2 in product(_support(alpha1, mask1), _support(alpha2, mask2))]
+    alphas = list(chain.from_iterable(couples))
+    plan = _Plan()
+    plan.keys = tuple(dict.fromkeys(alphas))
+    plan.pairs = len(couples)
+    slot = dict(zip(plan.keys, range(0, 2 * len(plan.keys), 2)))
+    c = np.fromiter(chain.from_iterable(map(dict.values, couples)), complex, len(alphas))
+    index = np.concatenate((np.fromiter(map(len, couples), np.intp, len(couples)),
+                            np.fromiter(map(slot.__getitem__, alphas), np.intp, len(alphas))
+                            + (c.imag != 0.0)))
+    plan.index = index.astype(np.min_scalar_type(index.max()))
+    # m is the nonzero part of c, the other being +0.0; a zero m adds only
+    # signed zeros (see _replay), so its sign does not matter
+    coeffs = c.real + c.imag
+    plan.top = float(np.abs(coeffs).max())
+    for dtype, largest in _NARROW_FLOATS:
+        if plan.top <= largest:  # so the cast cannot overflow
+            narrow = coeffs.astype(dtype)
+            if (narrow == coeffs).all():
+                coeffs = narrow
+                break
+    plan.coeffs = coeffs
+    plan.index.flags.writeable = plan.coeffs.flags.writeable = False
+    return plan
+
+
+def _replay(plan: _Plan, left: dict, right: dict) -> "_Replayed":
+    """``_bilinear_sum(left, right, planes)`` from the plan of its template.
+
+    Python computes scale * m as complex(scale, 0) * m: for a real m the real
+    part is scale*m - 0.0*0.0 = scale*m and the imaginary part scale*0.0 +
+    0.0*m, a signed zero while scale is finite (and likewise for an imaginary
+    m).  A sum that starts at 0.0 never becomes -0.0, and adding a signed zero
+    to it changes nothing, so only the scale*m terms are summed, each by one
+    float multiply.  bincount adds in input order from 0.0, as
+    ``out.get(alpha, 0j) + x`` does.  The caller checks that no product
+    overflows, where scale*0.0 would be NaN, and runs the loop instead when
+    numpy is set to raise on an underflow (an ``np.errstate`` here would cost
+    a third of the replay).
+    """
+    index = plan.index
+    scale = (np.fromiter(left.values(), float, len(left))[:, None]
+             * np.fromiter(right.values(), float, len(right)))
+    terms = scale.ravel().repeat(index[:plan.pairs])
+    terms *= plan.coeffs
+    sums = np.bincount(index[plan.pairs:], terms, 2 * len(plan.keys))
+    sums.flags.writeable = False
+    return _Replayed(plan.keys, sums)
+
+
+class _Replayed(Mapping):
+    """A replayed coupling: ``keys[n]`` maps to complex(sums[2 n], sums[2 n + 1]).
+
+    It holds the plan's key tuple and one float array rather than a dict of
+    complex objects.  ``items()`` is an iterator over the (alpha, c) pairs.
+    """
+
+    __slots__ = ("_keys", "_sums")
+
+    def __init__(self, keys: tuple, sums: np.ndarray):
+        self._keys = keys
+        self._sums = sums
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __getitem__(self, alpha):
+        try:
+            n = self._keys.index(alpha)
+        except ValueError:
+            raise KeyError(alpha) from None
+        return complex(self._sums[2 * n], self._sums[2 * n + 1])
+
+    def items(self):
+        return zip(self._keys, self._sums.view(complex).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,9 @@ def _structures(i: int, cfg: LoopConfig, names: tuple) -> dict:
     becomes -2 times its coefficient times a J_1 or J_2 master at mass m(x),
     and the qq term gives J_{2,munu}, whose ptpt part is 2 c_qq a_{2,D}
     M_{-D/2}.  Asking for delta or pp where the massless D = 2 loop diverges
-    raises; ptpt alone is finite for every diagram and dimension.
+    raises; ptpt alone is finite for every diagram and dimension.  A ptpt
+    integral whose every sample underflows to zero (loop masses near 1e148 at
+    theta 1e-150) raises ``ValueError`` instead of reading as a zero.
     """
     D = cfg.D
     base2 = cfg.mu_mass**2 if i in (4, 5) else cfg.ir_regulator**2
@@ -430,6 +432,13 @@ def _structures(i: int, cfg: LoopConfig, names: tuple) -> dict:
     kernels = {"delta": delta, "pp": pp, "ptpt": ptpt}
     for name in names:
         val, err = integrate.quad(kernels[name], 0.0, 1.0, **_QUAD_OPTS)
+        # M_{-D/2} > 0, so the exact ptpt integral is nonzero; a zero means
+        # every sample underflowed, where a tail that stays in range would not
+        if name == "ptpt" and val == 0.0 and ptpt_coef != 0.0:
+            raise ValueError(
+                f"the ptpt integral of omega{i} underflows to zero at |ptilde| = {pt:.3g} "
+                f"(M_{-D / 2.0:g} of loop masses up to {math.sqrt(base2 + p2 / 4):.3g})"
+            )
         out[name] = (val, err)
     return out
 

@@ -465,6 +465,25 @@ def test_oneloop_overflowing_momentum_exits_2(dim, capsys):
     assert err.startswith("error: external momentum") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dim, message", [("2", "underflows to zero"), ("4", "out of float range")])
+def test_oneloop_underflowing_masters_exit_2(dim, message, capsys):
+    # |ptilde| = 1e-2 at theta 1e-150 puts the loop masses near 5e147, where
+    # K_1 underflows (D = 2) and m^4 does (D = 4)
+    code, out, err = run_cli(["oneloop", "--dim", dim, "--theta", "1e-150"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def test_oneloop_in_range_tails_still_fit(capsys):
+    # at theta 1e-6 the D = 2 integrands of the larger |ptilde| underflow in
+    # the middle of [0, 1] but not near its ends, so the fit runs and is judged
+    code, out, err = run_cli(["oneloop", "--dim", "2", "--theta", "1e-6"], capsys)
+    assert code in (0, 1)
+    assert err == ""
+    assert out.splitlines()[-1].startswith("target ")
+
+
 @pytest.mark.parametrize("command", ["curvature", "graded", "oneloop"])
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_bad_tol_exits_2(command, tol, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from math import comb, copysign, factorial
 
@@ -46,6 +47,15 @@ from moyalcalc.elements import (
     _pruned,
     _shift_monomial,
     _shifted_couple,
+)
+from moyalcalc.elements import (
+    _PLAN_PAIRS,
+    _PlanStore,
+    _Replayed,
+    _bilinear_sum,
+    _couple_plan,
+    _replay,
+    _support,
 )
 from moyalcalc.verify import random_element
 
@@ -889,3 +899,263 @@ def _prune_outcome(f, arg):
 def test_one_term_prune_agrees_with_pruned(c):
     key = ((0, 0), (0.0, 0.0))
     assert _prune_outcome(_kept, c) == _prune_outcome(_pruned, {key: c})
+
+
+# ---------------------------------------------------------------------------
+# replay plans of large shifted couplings
+# ---------------------------------------------------------------------------
+
+def _mask(v):
+    return v and tuple(map(bool, v))
+
+
+def _replayed_through_the_kernel(key):
+    """``_shifted_couple``'s compute for ``key`` on the third sighting of its template."""
+    _shifted_couple.__wrapped__(*key)
+    _shifted_couple.__wrapped__(*key)
+    return _shifted_couple.__wrapped__(*key)
+
+
+_shift_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.25]),
+    st.integers(-16, 16).map(lambda n: n / 8),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _plan_cases(draw):
+    D = draw(st.sampled_from([2, 4]))
+    theta = draw(st.sampled_from([0.5, 1.0, 2.0, 0.3, 1.7]))
+    exponents = st.tuples(*[st.integers(0, 6 if D == 2 else 2)] * D)
+    shift = st.one_of(st.none(), st.tuples(*[_shift_component] * D))
+    return SymplecticStructure(D, theta), draw(exponents), draw(shift), draw(exponents), draw(shift)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_plan_cases())
+def test_plan_replay_matches_the_loop(case):
+    s, alpha1, v, alpha2, w = case
+    left, right = _shift_monomial(alpha1, v), _shift_monomial(alpha2, w)
+    assert _support(alpha1, _mask(v)) == list(left)
+    want = _bilinear_sum(left, right, s._planes)
+    plan = _couple_plan.__wrapped__(alpha1, _mask(v), alpha2, _mask(w), s._planes)
+    assert len(plan) == sum(len(_monomial_couple(b1, b2, s._planes)) for b1 in left for b2 in right)
+    # same keys in the same order, same bits in both parts, -0.0 included
+    assert _coupling_bits(_replay(plan, left, right)) == _coupling_bits(want)
+    got = _replayed_through_the_kernel((alpha1, v, alpha2, w, s._planes))
+    assert isinstance(got, _Replayed) == (len(left) * len(right) >= _PLAN_PAIRS)
+    assert _coupling_bits(got) == _coupling_bits(want)
+    assert len(got) == len(want)
+
+
+def test_plan_cases_fall_on_both_sides_of_the_threshold():
+    sizes = {D: [] for D in (2, 4)}
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_plan_cases())
+    def record(case):
+        s, alpha1, v, alpha2, w = case
+        sizes[s.D].append(len(_shift_monomial(alpha1, v)) * len(_shift_monomial(alpha2, w)))
+
+    record()
+    for D, pairs in sizes.items():
+        assert sum(p >= _PLAN_PAIRS for p in pairs) > 40, D
+        assert sum(p < _PLAN_PAIRS for p in pairs) > 40, D
+
+
+def _plan_exact_cases(D, theta, seed):
+    """Seeded pairs with at least ``_PLAN_PAIRS`` shift-monomial pairs and dyadic shifts."""
+    rng = np.random.default_rng(seed)
+    s = SymplecticStructure(D, theta)
+    low, high = (2, 4) if D == 2 else (0, 1)
+    for _ in range(12):
+        while True:
+            alpha1, alpha2 = (tuple(int(a) for a in rng.integers(low, high + 1, size=D))
+                              for _ in range(2))
+            k1, k2 = (rng.integers(-8, 9, size=D) / 4.0 for _ in range(2))
+            v = tuple(float(x) for x in -0.5 * (s.Theta @ k2))
+            w = tuple(float(x) for x in 0.5 * (s.Theta @ k1))
+            if len(_shift_monomial(alpha1, v)) * len(_shift_monomial(alpha2, w)) >= _PLAN_PAIRS:
+                break
+        yield s, alpha1, v, alpha2, w
+
+
+@pytest.mark.parametrize("D", [2, 4])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_plan_path_is_exact_at_dyadic_theta(D, theta):
+    for s, alpha1, v, alpha2, w in _plan_exact_cases(D, theta, seed=40 + D):
+        got = _replayed_through_the_kernel((alpha1, v, alpha2, w, s._planes))
+        assert isinstance(got, _Replayed)
+        want = _exact_couple(_exact_shift(alpha1, v), _exact_shift(alpha2, w), s)
+        for key in got.keys() | want.keys():
+            assert got.get(key, 0j) == want.get(key, 0j)
+
+
+def _overflow_outcome(a, b):
+    try:
+        return _bits(star(a, b))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "k1, k2, alpha",
+    [
+        # b's wave shifts x1^8 x2^8 by about 5e299: infinite shift coefficients
+        ((0.0, 0.0), (1e300, 1e300), (8, 8)),
+        # shift coefficients near 1e200 on both sides, whose products overflow
+        ((2e50, 2e50), (2e50, 2e50), (2, 2)),
+    ],
+)
+def test_overflowing_shift_behaves_as_on_the_loop(k1, k2, alpha, monkeypatch, capfd):
+    s = SymplecticStructure(2, 1.0)
+    a = MoyalElement(s, {(alpha, k1): 1.0, ((3, 0), k1): 1.0})
+    b = MoyalElement(s, {(alpha, k2): 1.0})
+    _couple_plan.cache_clear()
+    planned = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            _shifted_couple.cache_clear()  # so each product computes its couplings
+            planned.append(_overflow_outcome(a, b))
+    assert _couple_plan.cache_info().misses >= 1  # the third sightings planned them
+    monkeypatch.setattr("moyalcalc.elements._PLAN_PAIRS", 10**9)
+    _shifted_couple.cache_clear()
+    looped = _overflow_outcome(a, b)
+    assert looped.startswith("coefficients must be finite")
+    assert planned == [looped] * 3
+    assert capfd.readouterr().err == ""
+
+
+def _templates(s, count):
+    """Distinct large templates over ``s`` (x1^a x2^b shifted both ways, against x1^2 x2^2)."""
+    out = []
+    for a in range(2, 40):
+        for b in range(2, 6):
+            out.append(((a, b), (True, True), (2, 2), (True, True), s._planes))
+            if len(out) == count:
+                return out
+    raise AssertionError("not enough templates")
+
+
+def _check_plan_store(store):
+    info = store.cache_info()
+    stored = list(store.results.items())
+    assert info.currsize == sum(len(plan) for _key, plan in stored)
+    assert info.currsize <= info.maxsize
+    assert len(store._seen) <= store._seen_max
+
+
+def test_plan_store_builds_on_the_third_sighting():
+    store = _PlanStore(_couple_plan.__wrapped__, budget=1 << 20, seen_max=8)
+    template = _templates(S2, 1)[0]
+    assert store.lookup(template) is None  # the loop runs these twice
+    assert store.lookup(template) is None
+    assert store.cache_info() == (0, 0, 1 << 20, 0)
+    plan = store.lookup(template)
+    assert store.lookup(template) is plan
+    assert store.cache_info() == (1, 1, 1 << 20, len(plan))
+    store.cache_clear()
+    assert store.cache_info() == (0, 0, 1 << 20, 0)
+    assert store.lookup(template) is None  # clearing forgets the sightings too
+
+
+def test_plan_store_holds_its_budget_and_evicts_oldest_first():
+    templates = _templates(S2, 24)
+    sizes = [len(_couple_plan.__wrapped__(*t)) for t in templates]
+    budget = sum(sizes[:10])
+    store = _PlanStore(_couple_plan.__wrapped__, budget=budget, seen_max=4)
+    for t in templates:
+        for _ in range(3):
+            store.lookup(t)
+        _check_plan_store(store)
+    # the survivors are the newest templates, in insertion order
+    kept = list(store.results)
+    assert kept == templates[len(templates) - len(kept):]
+    assert sum(sizes[len(templates) - len(kept) - 1:]) > budget
+    assert store.cache_info().misses == len(templates)
+
+
+def test_plan_larger_than_the_budget_is_returned_but_not_stored():
+    small, large = _templates(S2, 2)[0], ((30, 30), (True, True), (2, 2), (True, True), S2._planes)
+    store = _PlanStore(_couple_plan.__wrapped__, budget=2000, seen_max=4)
+    store.lookup(small)
+    store.lookup(small)
+    held = store.lookup(small)
+    assert store.lookup(large) is None
+    assert store.lookup(large) is None
+    plan = store.lookup(large)
+    assert len(plan) > 2000
+    assert list(store.results.values()) == [held]
+    assert store.cache_info().misses == 2
+    _check_plan_store(store)
+
+
+def test_plan_store_forgets_the_least_recent_sightings():
+    store = _PlanStore(_couple_plan.__wrapped__, budget=1 << 20, seen_max=3)
+    templates = _templates(S2, 5)
+    for t in templates:
+        assert store.lookup(t) is None
+    assert list(store._seen) == [hash(t) for t in templates[2:]]
+    assert store.lookup(templates[2]) is None  # seen twice now, and most recent
+    assert list(store._seen) == [hash(t) for t in (templates[3], templates[4], templates[2])]
+    assert store.lookup(templates[0]) is None  # forgotten, so seen once again
+    assert store.lookup(templates[2]) is not None
+    assert hash(templates[2]) not in store._seen
+
+
+def test_plan_store_under_racing_threads():
+    # threads racing on the same large products must each get the loop's
+    # bits, while the plan store fills, evicts and keeps its invariants
+    def build():
+        rng = np.random.default_rng(43)
+        return [(random_element(rng, s, 6, 5), random_element(rng, s, 6, 5))
+                for s in (SymplecticStructure(2, 0.3), SymplecticStructure(4, 1.0))
+                for _ in range(2)]
+
+    _couple_plan.cache_clear()
+    _shifted_couple.cache_clear()
+    want = [_bits(star(a, b)) for a, b in build()]
+    n = (os.cpu_count() or 1) + 2
+    results = [None] * n
+
+    def work(i):
+        out = []
+        for _ in range(4):  # later rounds replay the plans the first ones built
+            _shifted_couple.cache_clear()
+            out.append([_bits(star(a, b)) for a, b in build()])
+        results[i] = out
+
+    _couple_plan.cache_clear()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[want] * 4] * n
+    assert _couple_plan.cache_info().hits > 0
+    _check_plan_store(_couple_plan)
+
+
+def test_underflowing_products_keep_the_loops_bits_whatever_numpys_settings():
+    # shifts of 2^-600 make shift coefficients whose products underflow; the
+    # loop's Python floats raise nothing, so neither may the replay: numpy set
+    # to raise sends the coupling back to the loop
+    s = SymplecticStructure(2, 1.0)
+    v = w = (2.0**-600, -(2.0**-600))
+    key = ((3, 3), v, (3, 3), w, s._planes)
+    want = _coupling_bits(_bilinear_sum(_shift_monomial((3, 3), v), _shift_monomial((3, 3), w),
+                                        s._planes))
+    _couple_plan.cache_clear()
+    got = _replayed_through_the_kernel(key)
+    assert isinstance(got, _Replayed)
+    assert _coupling_bits(got) == want
+    with np.errstate(all="raise"):
+        assert _coupling_bits(_shifted_couple.__wrapped__(*key)) == want
