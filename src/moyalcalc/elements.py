@@ -43,13 +43,14 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
     read-only;
   * a shifted coupling with at least ``_PLAN_PAIRS`` (16) pairs of shift
     monomials is replayed from a numpy plan of its template (the exponents,
-    which shift components are nonzero, and Theta), built the third time
+    which shift components are nonzero, and Theta), built the first time
     the template is seen: an outer product of the shift coefficients, one
     float multiply per contribution and a bincount per output slot, the
     loop's IEEE operations in the loop's order, so the bits and the key
     order are the loop's (``_replay`` gives the argument).  Plans are kept by
-    ``_couple_plan``, bounded by the contributions they hold (131,072), with
-    the narrowest exact dtypes; a product that could overflow runs the loop;
+    ``_couple_plan``, a store like ``_shifted_couple``'s bounded by the
+    contributions they hold (131,072), with the narrowest exact dtypes; a
+    product that could overflow runs the loop;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
     significant bits) and is not snapped above, so k1 + k2 needs no
@@ -79,11 +80,11 @@ from __future__ import annotations
 
 import cmath
 import threading
-from collections import OrderedDict, deque, namedtuple
+from collections import defaultdict, deque, namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial, update_wrapper
-from itertools import chain, product
+from itertools import chain, count, product
 from math import comb, inf, isfinite, perm
 from operator import add, sub
 
@@ -578,18 +579,16 @@ def _shifted_couple(alpha1: tuple, v, alpha2: tuple, w, planes: tuple):
     bilinear, so it is the sum of ``_monomial_couple`` over the monomials of
     the two shifts, ``_bilinear_sum``.  With at least ``_PLAN_PAIRS`` pairs
     of them it is replayed from its template's plan instead, with the same
-    bits, once the template has been seen twice before (see ``_PlanStore``).
-    The result is a dict or a ``_Replayed`` mapping; it is shared, so callers
-    must not mutate it.
+    bits.  The result is a dict or a ``_Replayed`` mapping; it is shared, so
+    callers must not mutate it.
     """
     left = _cached_shift(alpha1, v)
     right = _cached_shift(alpha2, w)
     if len(left) * len(right) >= _PLAN_PAIRS:
-        plan = _couple_plan.lookup((alpha1, v and tuple(map(bool, v)),
-                                    alpha2, w and tuple(map(bool, w)), planes))
+        plan = _couple_plan(alpha1, v and tuple(map(bool, v)),
+                            alpha2, w and tuple(map(bool, w)), planes)
         # below this bound no product of the replay overflows (see _replay)
-        if plan is not None and (sum(map(abs, left.values())) * sum(map(abs, right.values()))
-                                 * plan.top < inf):
+        if sum(map(abs, left.values())) * sum(map(abs, right.values())) * plan.top < inf:
             try:
                 return _replay(plan, left, right)
             except FloatingPointError:
@@ -615,9 +614,6 @@ def _bilinear_sum(left: dict, right: dict, planes: tuple) -> dict:
 # a shifted coupling with at least this many pairs of shift monomials is
 # replayed from a plan; below it numpy's per-call cost outweighs the loop
 _PLAN_PAIRS = 16
-# a template's plan is built the third time it is seen: in one large product
-# most repeated templates are seen twice, where a plan does not pay back
-_PLAN_SIGHTING = 3
 # the narrower float types a plan's coefficients may be stored in, with their
 # largest finite values
 _NARROW_FLOATS = tuple((t, float(np.finfo(t).max)) for t in (np.float16, np.float32))
@@ -653,47 +649,11 @@ class _Plan:
         return len(self.coeffs)
 
 
-class _PlanStore(_CoefficientCache):
-    """The plans of templates, built the ``_PLAN_SIGHTING``-th time a template is seen.
-
-    Building a plan costs about two loops of a template already seen, so a
-    template seen fewer times runs only the loop; ``lookup`` returns None
-    for it.  The sighting counts are kept by template hash, most recent
-    last, for up to ``seen_max`` templates (a template whose hash collides
-    with another's is only planned early).  ``cache_info`` counts the plans
-    built as misses.
-    """
-
-    def __init__(self, func, budget: int, seen_max: int):
-        super().__init__(func, budget)
-        self._seen = OrderedDict()  # template hash -> sightings so far
-        self._seen_max = seen_max
-
-    def lookup(self, template: tuple):
-        plan = self.results.get(template)
-        if plan is not None:
-            self.count_hits(1)
-            return plan
-        key = hash(template)
-        with self._lock:
-            seen = self._seen.pop(key, 0) + 1
-            if seen < _PLAN_SIGHTING:
-                self._seen[key] = seen
-                if len(self._seen) > self._seen_max:
-                    self._seen.popitem(last=False)
-        return self.miss(template) if seen >= _PLAN_SIGHTING else None
-
-    def cache_clear(self):
-        super().cache_clear()
-        with self._lock:
-            self._seen.clear()
-
-
 # bounded by contributions: a plan stores 3 to 12 bytes per contribution (a
 # slot and a coefficient in the narrowest exact dtypes) plus its key tuple;
 # 131,072 of them hold every plan one pass of the benchmark's large products
 # uses, about 1 MB
-@partial(_PlanStore, budget=1 << 17, seen_max=4096)
+@partial(_CoefficientCache, budget=1 << 17)
 def _couple_plan(alpha1: tuple, mask1, alpha2: tuple, mask2, planes: tuple) -> _Plan:
     """The plan of a template, a shifted coupling with the shift values left out.
 
@@ -704,15 +664,18 @@ def _couple_plan(alpha1: tuple, mask1, alpha2: tuple, mask2, planes: tuple) -> _
     """
     couples = [_monomial_couple(beta1, beta2, planes)
                for beta1, beta2 in product(_support(alpha1, mask1), _support(alpha2, mask2))]
-    alphas = list(chain.from_iterable(couples))
+    sizes = list(map(len, couples))
+    size = sum(sizes)
     plan = _Plan()
-    plan.keys = tuple(dict.fromkeys(alphas))
     plan.pairs = len(couples)
-    slot = dict(zip(plan.keys, range(0, 2 * len(plan.keys), 2)))
-    c = np.fromiter(chain.from_iterable(map(dict.values, couples)), complex, len(alphas))
-    index = np.concatenate((np.fromiter(map(len, couples), np.intp, len(couples)),
-                            np.fromiter(map(slot.__getitem__, alphas), np.intp, len(alphas))
-                            + (c.imag != 0.0)))
+    # an output monomial takes the next even slot where it first occurs, so
+    # the slots follow the loop's key order; one dict lookup per contribution
+    slot = defaultdict(count(0, 2).__next__)
+    index = np.fromiter(chain(sizes, map(slot.__getitem__, chain.from_iterable(couples))),
+                        np.intp, plan.pairs + size)
+    plan.keys = tuple(slot)
+    c = np.fromiter(chain.from_iterable(map(dict.values, couples)), complex, size)
+    index[plan.pairs:] += c.imag != 0.0
     plan.index = index.astype(np.min_scalar_type(index.max()))
     # m is the nonzero part of c, the other being +0.0; a zero m adds only
     # signed zeros (see _replay), so its sign does not matter

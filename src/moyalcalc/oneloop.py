@@ -92,6 +92,9 @@ class LoopConfig:
             raise ValueError("supported dimensions are D in {2, 4}")
         if not 0 < self.theta < math.inf:
             raise ValueError("theta must be positive and finite")
+        # as in SymplecticStructure, before anything divides by theta
+        if not math.isfinite(1.0 / float(self.theta)):
+            raise ValueError(f"theta must have a finite inverse, got {self.theta}")
         if not 0 <= self.mu_mass < math.inf:
             raise ValueError("mu_mass must be nonnegative and finite")
         if not 0 <= self.ir_regulator < math.inf:

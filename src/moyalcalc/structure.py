@@ -12,6 +12,7 @@ grammar (x1, x2, ...) and the generator names (d1, X12, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -45,6 +46,9 @@ class SymplecticStructure:
             raise ValueError(f"D must be a positive even integer, got {self.D}")
         if not 0 < self.theta < np.inf:
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        # a theta below about 5.6e-309 has no finite inverse
+        if not isfinite(1.0 / float(self.theta)):
+            raise ValueError(f"theta must have a finite inverse, got {self.theta}")
         sigma = _sigma(self.D)
         object.__setattr__(self, "Theta", self.theta * sigma)
         # Sigma^{-1} = -Sigma = Sigma^T for this block form

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moyalcalc.cli import CONVENTIONS, _build_parser, main
@@ -87,6 +88,33 @@ def test_non_finite_parameters_exit_2(argv, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--dim", "2", "--theta", "1e-320", "--", "x1", "x2"],
+        ["verify", "--dim", "2", "--theta", "1e-320"],
+        ["oneloop", "--dim", "2", "--theta", "1e-320"],
+    ],
+)
+def test_theta_without_a_finite_inverse_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: theta must have a finite inverse, got 1e-320\n"
+
+
+@pytest.mark.parametrize("n_points", ["1001", "1000000000000"])
+def test_oneloop_too_many_points_exits_2(n_points, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the fit grid was built")
+
+    monkeypatch.setattr(np, "geomspace", unreachable)
+    code, out, err = run_cli(["oneloop", "--dim", "2", "--n-points", n_points], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at most 1000 fit points\n"
 
 
 def test_verify_core_passes(capsys):

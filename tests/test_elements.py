@@ -50,7 +50,7 @@ from moyalcalc.elements import (
 )
 from moyalcalc.elements import (
     _PLAN_PAIRS,
-    _PlanStore,
+    _CoefficientCache,
     _Replayed,
     _bilinear_sum,
     _couple_plan,
@@ -910,9 +910,7 @@ def _mask(v):
 
 
 def _replayed_through_the_kernel(key):
-    """``_shifted_couple``'s compute for ``key`` on the third sighting of its template."""
-    _shifted_couple.__wrapped__(*key)
-    _shifted_couple.__wrapped__(*key)
+    """``_shifted_couple``'s compute for ``key``, which plans its template on first sight."""
     return _shifted_couple.__wrapped__(*key)
 
 
@@ -1019,7 +1017,7 @@ def test_overflowing_shift_behaves_as_on_the_loop(k1, k2, alpha, monkeypatch, ca
         for _ in range(3):
             _shifted_couple.cache_clear()  # so each product computes its couplings
             planned.append(_overflow_outcome(a, b))
-    assert _couple_plan.cache_info().misses >= 1  # the third sightings planned them
+    assert _couple_plan.cache_info().misses >= 1  # the first sightings planned them
     monkeypatch.setattr("moyalcalc.elements._PLAN_PAIRS", 10**9)
     _shifted_couple.cache_clear()
     looped = _overflow_outcome(a, b)
@@ -1044,31 +1042,29 @@ def _check_plan_store(store):
     stored = list(store.results.items())
     assert info.currsize == sum(len(plan) for _key, plan in stored)
     assert info.currsize <= info.maxsize
-    assert len(store._seen) <= store._seen_max
 
 
-def test_plan_store_builds_on_the_third_sighting():
-    store = _PlanStore(_couple_plan.__wrapped__, budget=1 << 20, seen_max=8)
-    template = _templates(S2, 1)[0]
-    assert store.lookup(template) is None  # the loop runs these twice
-    assert store.lookup(template) is None
-    assert store.cache_info() == (0, 0, 1 << 20, 0)
-    plan = store.lookup(template)
-    assert store.lookup(template) is plan
-    assert store.cache_info() == (1, 1, 1 << 20, len(plan))
-    store.cache_clear()
-    assert store.cache_info() == (0, 0, 1 << 20, 0)
-    assert store.lookup(template) is None  # clearing forgets the sightings too
+def test_first_large_miss_builds_its_plan_and_replays():
+    s = SymplecticStructure(2, 0.3)
+    alpha1, v, alpha2, w = (3, 2), (0.25, -0.75), (2, 3), (-0.5, 1.25)
+    left, right = _shift_monomial(alpha1, v), _shift_monomial(alpha2, w)
+    assert len(left) * len(right) >= _PLAN_PAIRS
+    _couple_plan.cache_clear()
+    _shifted_couple.cache_clear()
+    got = _shifted_couple(alpha1, v, alpha2, w, s._planes)
+    assert _couple_plan.cache_info().misses == 1
+    assert isinstance(got, _Replayed)
+    # same keys in the same order, same bits in both parts
+    assert _coupling_bits(got) == _coupling_bits(_bilinear_sum(left, right, s._planes))
 
 
 def test_plan_store_holds_its_budget_and_evicts_oldest_first():
     templates = _templates(S2, 24)
     sizes = [len(_couple_plan.__wrapped__(*t)) for t in templates]
     budget = sum(sizes[:10])
-    store = _PlanStore(_couple_plan.__wrapped__, budget=budget, seen_max=4)
+    store = _CoefficientCache(_couple_plan.__wrapped__, budget=budget)
     for t in templates:
-        for _ in range(3):
-            store.lookup(t)
+        store(*t)
         _check_plan_store(store)
     # the survivors are the newest templates, in insertion order
     kept = list(store.results)
@@ -1079,30 +1075,13 @@ def test_plan_store_holds_its_budget_and_evicts_oldest_first():
 
 def test_plan_larger_than_the_budget_is_returned_but_not_stored():
     small, large = _templates(S2, 2)[0], ((30, 30), (True, True), (2, 2), (True, True), S2._planes)
-    store = _PlanStore(_couple_plan.__wrapped__, budget=2000, seen_max=4)
-    store.lookup(small)
-    store.lookup(small)
-    held = store.lookup(small)
-    assert store.lookup(large) is None
-    assert store.lookup(large) is None
-    plan = store.lookup(large)
+    store = _CoefficientCache(_couple_plan.__wrapped__, budget=2000)
+    held = store(*small)
+    plan = store(*large)
     assert len(plan) > 2000
     assert list(store.results.values()) == [held]
     assert store.cache_info().misses == 2
     _check_plan_store(store)
-
-
-def test_plan_store_forgets_the_least_recent_sightings():
-    store = _PlanStore(_couple_plan.__wrapped__, budget=1 << 20, seen_max=3)
-    templates = _templates(S2, 5)
-    for t in templates:
-        assert store.lookup(t) is None
-    assert list(store._seen) == [hash(t) for t in templates[2:]]
-    assert store.lookup(templates[2]) is None  # seen twice now, and most recent
-    assert list(store._seen) == [hash(t) for t in (templates[3], templates[4], templates[2])]
-    assert store.lookup(templates[0]) is None  # forgotten, so seen once again
-    assert store.lookup(templates[2]) is not None
-    assert hash(templates[2]) not in store._seen
 
 
 def test_plan_store_under_racing_threads():

@@ -30,6 +30,18 @@ def test_bad_dimensions_rejected():
         SymplecticStructure(2, theta=float("nan"))
 
 
+@pytest.mark.parametrize("theta", [5.5e-309, 1e-320, 5e-324, np.float64(1e-320)])
+def test_theta_without_a_finite_inverse_rejected(theta):
+    # rejected before numpy divides, so no overflow warning is printed
+    with pytest.raises(ValueError, match="theta must have a finite inverse"):
+        SymplecticStructure(2, theta)
+
+
+def test_theta_just_above_the_limit_accepted():
+    s = SymplecticStructure(4, 5.6e-309)
+    assert np.isfinite(s.ThetaInv).all()
+
+
 def test_wedge_antisymmetry_and_values():
     s = SymplecticStructure(2, 1.0)
     assert s.wedge((1, 0), (0, 1)) == -1.0
