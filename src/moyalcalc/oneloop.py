@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -86,15 +85,13 @@ class LoopConfig:
     mu_mass: float = 1.0
     p: tuple = None
     ir_regulator: float = 0.0
+    structure: SymplecticStructure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.D not in (2, 4):
             raise ValueError("supported dimensions are D in {2, 4}")
-        if not 0 < self.theta < math.inf:
-            raise ValueError("theta must be positive and finite")
-        # as in SymplecticStructure, before anything divides by theta
-        if not math.isfinite(1.0 / float(self.theta)):
-            raise ValueError(f"theta must have a finite inverse, got {self.theta}")
+        # the structure checks theta before anything divides by it
+        object.__setattr__(self, "structure", SymplecticStructure(self.D, self.theta))
         if not 0 <= self.mu_mass < math.inf:
             raise ValueError("mu_mass must be nonnegative and finite")
         if not 0 <= self.ir_regulator < math.inf:
@@ -112,10 +109,6 @@ class LoopConfig:
             if not math.isfinite(sum(x * x for x in p)):
                 raise ValueError(f"external momentum p = {p} must have a finite |p|^2")
             object.__setattr__(self, "p", p)
-
-    @cached_property
-    def structure(self) -> SymplecticStructure:
-        return SymplecticStructure(self.D, self.theta)
 
     def ptilde(self) -> np.ndarray:
         if self.p is None:

@@ -373,7 +373,7 @@ def _connection_samples(s: SymplecticStructure, rng, n_random: int):
     # gauge covariance holds entrywise, so a lean connection keeps this cheap
     A = random_connection(rng, s, max_terms=1, max_degree=1)
     F = conn.curvature(A)
-    dens = conn.action_density(A)
+    dens = conn.action_density(A)["total"]
     Dv = conn.covariant_derivative(A, 1, 1, min(2, D))
     cov = conn.covariant_coordinates(A)
     for _ in range(n_random):
@@ -381,12 +381,13 @@ def _connection_samples(s: SymplecticStructure, rng, n_random: int):
         act = unitary_action(g, "random gauge element is not unitary")
         Ag = conn.gauge_transform(A, g)
         covg = conn.covariant_coordinates(Ag)
-        conj_cov = {name: act(v) for name, v in cov.values.items()}
-        yield "covariant coordinates homogeneous", max_residual(covg.values, conj_cov)
-        yield "curvature gauge covariant", max_residual(conn.curvature(Ag), F.map_entries(act))
+        conj_cov = {name: act(v) for name, v in cov.items()}
+        yield "covariant coordinates homogeneous", max_residual(covg, conj_cov)
+        conj_F = {key: act(v) for key, v in F.items()}
+        yield "curvature gauge covariant", max_residual(conn.curvature(Ag), conj_F)
         Dg = conn.covariant_derivative(Ag, 1, 1, min(2, D))
         yield "covariant derivative covariant", (Dg - act(Dv)).norm()
-        yield "action density covariant", (conn.action_density(Ag) - act(dens)).norm()
+        yield "action density covariant", (conn.action_density(Ag)["total"] - act(dens)).norm()
         a = random_element(rng, s)
         X = partial_generator(s, 1)
         lhs = star(g.dag(), conn.canonical_connection(A, X, star(g, a)))

@@ -35,6 +35,7 @@ from moyalcalc import (
     xi,
 )
 from moyalcalc import verify_d2_special_brackets
+from moyalcalc.gauge import max_residual
 from moyalcalc.verify import (
     random_connection,
     random_graded_connection,
@@ -75,6 +76,7 @@ def test_criterion_1_ir_coefficient_reproduction():
     _report("criterion 1 (IR coefficients)", ok, f"{detail}; {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_master_integral_exactness():
     """Closed J_N / J_{N,munu} vs radial oracles (1e-5); M asymptotics (1%)."""
     from test_masters import radial_oracle, radial_oracle_tensor
@@ -169,7 +171,7 @@ def test_criterion_5_canonical_curvature():
     for D in (2, 4):
         s = SymplecticStructure(D, 1.0)
         Finv = canonical_curvature(s, "G2")
-        for (n1, n2), val in Finv.entries.items():
+        for (n1, n2), val in Finv.items():
             if n1.startswith("d") and n2.startswith("d"):
                 m, n = int(n1[1:]), int(n2[1:])
                 expect = -1j * s.ThetaInv[m - 1, n - 1] * unit(s)
@@ -197,10 +199,10 @@ def test_criterion_6_dual_path_curvature():
     s4 = SymplecticStructure(4, 1.0)
     for i in range(80):
         A = random_connection(rng, s2)
-        worst = max(worst, curvature(A).max_distance(curvature_generic(A)))
+        worst = max(worst, max_residual(curvature(A), curvature_generic(A)))
     for i in range(8):
         A = random_connection(rng, s4)
-        worst = max(worst, curvature(A).max_distance(curvature_generic(A)))
+        worst = max(worst, max_residual(curvature(A), curvature_generic(A)))
     for i in range(10):
         A = random_graded_connection(rng, s2)
         Fc, Fg = graded_curvature(A), graded_curvature_generic(A)

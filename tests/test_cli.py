@@ -46,6 +46,14 @@ def test_star_non_finite_wave_exits_2(left, right, capsys):
     assert out == ""
 
 
+def test_star_parse_overflow_exits_2_with_a_column(capsys):
+    # finite literals whose product overflows while parsing
+    code, out, err = run_cli(["star", "--dim", "2", "--", "1e200*1e200*x1", "1"], capsys)
+    assert code == 2
+    assert err == "error: coefficients must be finite (column 7)\n"
+    assert out == ""
+
+
 def test_star_deeply_nested_parentheses_exit_2(capsys):
     # the parser stops at its nesting limit instead of the recursion limit
     nested = "(" * 5000 + "x1" + ")" * 5000

@@ -7,10 +7,19 @@ exactly 0.0, not merely below the ``verify`` tolerance (at theta 0.3 the same
 draws read about 1e-15).  Star associativity is pinned on polynomials only: a
 wave pair's BCH phase is transcendental and rounds differently in the two
 groupings.
+
+The four ``verify`` suites run on the same kind of draws: polynomials with
+coefficients in eighths, connections at ``mu_scale`` 1, and the suites' own
+quarter-grid plane-wave gauges.  Every identity then holds exactly, and the
+two witnesses read their exact values.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from moyalcalc import verify
 
 from moyalcalc import (
     ConnectionForm,
@@ -77,3 +86,30 @@ def test_star_associativity_is_exact_on_polynomials(D):
     for _ in range(10):
         a, b, c = (_dyadic_element(rng, s, 3, 4, waves=False) for _ in range(3))
         assert ((a * b) * c - a * (b * c)).norm() == 0.0
+
+
+# the witnesses are reciprocals of a norm that must not vanish
+_WITNESSES = {"center witness (monomials move)": 2.0, "degree-3 counterexample separates": 16 / 3}
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+@pytest.mark.parametrize("D", [2, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_identities_are_exact(suite, D, seed, monkeypatch):
+    random_connection = verify.random_connection
+    monkeypatch.setattr(
+        verify,
+        "_random_terms",
+        lambda rng, s, max_terms, max_degree, waves: _dyadic_element(
+            rng, s, max_terms, max_degree, waves=False
+        ),
+    )
+    monkeypatch.setattr(
+        verify,
+        "random_connection",
+        lambda *args, **kwargs: replace(random_connection(*args, **kwargs), mu_scale=1.0),
+    )
+    checks = verify.SUITES[suite](D, THETA, seed, n_random=4)
+    assert {c.name: c.residual for c in checks} == {
+        c.name: _WITNESSES.get(c.name, 0.0) for c in checks
+    }

@@ -246,13 +246,16 @@ def test_literal_products_build_no_elements(monkeypatch):
 
 def test_literal_product_errors_come_from_the_same_factor():
     """A zero product still checks its later factors, and a coefficient that
-    stops being finite raises the element's own message."""
+    stops being finite raises the element's own message at its factor."""
     with pytest.raises(ExpressionError) as err:
         parse_expression("0*x3", S2)
     assert err.value.column == 3
-    with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+    with pytest.raises(ExpressionError, match=r"^coefficients must be finite \(column 7\)$"):
         parse_expression("1e200*1e200*x1", S2)
-    with pytest.raises(ValueError, match="^coefficients must be finite, got a modulus that overflows$"):
+    with pytest.raises(
+        ExpressionError,
+        match=r"^coefficients must be finite, got a modulus that overflows \(column 1\)$",
+    ):
         parse_expression("(1.5e308+1.5e308i)*x1", S2)
 
 
@@ -357,15 +360,18 @@ def test_sum_parsing_matches_the_fold_at_shared_keys(products):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("1e308 + 1e308 + )", "coefficients must be finite"),
-        ("x2 - 1e308*x1 - 1e308*x1 + x9", "coefficients must be finite"),
-        ("1.3e308*x1 + 1.3e308i*x1 + *", "coefficients must be finite, got a modulus that overflows"),
+        ("1e308 + 1e308 + )", "coefficients must be finite (column 9)"),
+        ("x2 - 1e308*x1 - 1e308*x1 + x9", "coefficients must be finite (column 17)"),
+        (
+            "1.3e308*x1 + 1.3e308i*x1 + *",
+            "coefficients must be finite, got a modulus that overflows (column 14)",
+        ),
     ],
 )
 def test_shared_key_overflow_raises_at_its_product(text, message):
     """A combined coefficient that stops being finite raises before later
-    input is read, as the fold's prune does."""
-    with pytest.raises(ValueError) as err:
+    input is read, as the fold's prune does, at the product's column."""
+    with pytest.raises(ExpressionError) as err:
         parse_expression(text, S2)
     assert str(err.value) == message
 
@@ -395,5 +401,10 @@ def test_infinite_literal_is_positioned():
         parse_expression("W[0,-1e400]", S2)
     assert err.value.column == 5
     # a product of finite literals that overflows keeps the element's message
-    with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+    # and raises at the factor that overflows
+    with pytest.raises(ExpressionError, match=r"^coefficients must be finite \(column 7\)$"):
         parse_expression("1e200*1e200*x1", S2)
+    # so does a summed wave vector
+    with pytest.raises(ExpressionError, match="finite") as err:
+        parse_expression("W[1e308,0]*W[1e308,0]", S2)
+    assert err.value.column == 12

@@ -22,7 +22,6 @@ from moyalcalc import (
     graded_generators,
     graded_unit,
     monomial,
-    parse_expression,
     partial,
     plane_wave,
     pointwise,
@@ -331,17 +330,17 @@ def test_graded_config_loader():
         "G0": {"X11": "x2^2"},
         "phi": "0.3 + 0.2 W[0.5,0.5]",
     }
-    A = graded_connection_from_config(cfg, parse=parse_expression)
+    A = graded_connection_from_config(cfg)
     assert A.m_scale == 1.5
     assert (A.A0["d1"] - coordinate(S2, 2)).norm() == 0.0
     assert A.A0["d2"].norm() == 0.0
     with pytest.raises(ValueError):
-        graded_connection_from_config({"D": 3}, parse=parse_expression)
+        graded_connection_from_config({"D": 3})
 
 
 def test_graded_config_loader_ignores_mu():
     cfg = {"D": 2, "m": 1.5, "mu": 0, "A0": {"d1": "x2"}}
-    A = graded_connection_from_config(cfg, parse=parse_expression)
+    A = graded_connection_from_config(cfg)
     assert A.m_scale == 1.5
     assert (A.A0["d1"] - coordinate(S2, 2)).norm() == 0.0
 

@@ -89,6 +89,7 @@ def test_j2_d4_against_radial_oracle():
     assert abs(r.value - FROZEN_J2_D4) / FROZEN_J2_D4 < 1e-6
 
 
+@pytest.mark.slow
 def test_master_j_random_points_against_oracle():
     """14 scalar points at 1e-5 relative (part of the 20-point battery)."""
     rng = np.random.default_rng(71)
@@ -107,6 +108,7 @@ def test_master_j_random_points_against_oracle():
         count += 1
 
 
+@pytest.mark.slow
 def test_master_j_tensor_random_points_against_oracle():
     """6 tensor points at 1e-5 relative (completing the 20-point battery)."""
     rng = np.random.default_rng(73)

@@ -17,6 +17,7 @@ from scipy import integrate
 from moyalcalc import (
     LOOP_WEIGHTS,
     LoopConfig,
+    SymplecticStructure,
     delta_residual_profile,
     ir_coefficient,
     ir_target,
@@ -329,6 +330,20 @@ def test_ir_regulator_must_be_nonnegative_and_finite(reg):
 def test_n_higgs_must_be_a_nonnegative_integer(n):
     with pytest.raises(ValueError, match="n_higgs"):
         LoopConfig(D=4, n_higgs=n)
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        (-1, "be positive and finite, got -1"),
+        (math.nan, "be positive and finite, got nan"),
+        (1e-320, "have a finite inverse, got 1e-320"),
+    ],
+)
+def test_theta_is_checked_by_the_structure(theta, message):
+    with pytest.raises(ValueError, match=f"^theta must {message}$"):
+        LoopConfig(D=2, theta=theta)
+    assert LoopConfig(D=2, theta=0.5).structure == SymplecticStructure(2, 0.5)
 
 
 def test_n_higgs_default_and_integers_are_kept():

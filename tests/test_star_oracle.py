@@ -135,6 +135,7 @@ def test_pure_waves_against_oracle():
         assert abs(closed - oracle_star_at(a, b, np.asarray(x))) < 1e-6
 
 
+@pytest.mark.slow
 def test_random_damped_samples_against_oracle():
     """Ten random element pairs, evaluated pointwise, 1e-5 agreement."""
     rng = np.random.default_rng(11)

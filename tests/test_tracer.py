@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import moyalcalc.cli  # noqa: F401  (loads every module the tracer wraps)
-from moyalcalc import connections, oneloop
+from moyalcalc import connections, graded, oneloop
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -47,6 +47,23 @@ def test_traced_cli_call_records_its_report_span(monkeypatch, capsys):
     finally:
         tracer.uninstall()
     assert tracer.summary("run")["cli.star"]["calls"] == 1
+
+
+def test_traced_library_config_loaders_record_their_parses(monkeypatch):
+    # the loaders parse through ``gauge.parse_components``, which must look
+    # ``parse_expression`` up at call time, so a library call is traced too
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("run"):
+            connections.connection_from_config({"D": 2, "components": {"d1": "x1", "d2": "x2^2"}})
+            graded.graded_connection_from_config({"D": 2, "phi": "x1", "A0": {"d1": "x2"}})
+    finally:
+        tracer.uninstall()
+    assert tracer.summary("run")["expressions.parse"]["calls"] == 4
 
 
 def test_traced_oneloop_counts_the_ptpt_quadratures(monkeypatch, capsys):
