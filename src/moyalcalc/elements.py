@@ -51,6 +51,16 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
     ``_couple_plan``, a store like ``_shifted_couple``'s bounded by the
     contributions they hold (131,072), with the narrowest exact dtypes; a
     product that could overflow runs the loop;
+  * a product of at least ``_BATCH_PAIRS`` (128) term pairs merges its
+    contributions with numpy (``_BatchedMerge``) instead of adding them to
+    the dict one by one.  The pairs still run in the loop's order; each
+    contribution is the split-form product, the IEEE operations of CPython's
+    complex multiply, and ``np.add.at`` adds each output slot's
+    contributions in that order from 0.0, so every sum has the loop's bits.
+    Contributions are gathered in chunks of about ``_BATCH_CHUNK`` (8192),
+    which bounds the transient arrays, and the sums carry over from chunk
+    to chunk.  The result comes back in sorted (alpha, k) order, so the
+    final sort runs over sorted input;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
     significant bits) and is not snapped above, so k1 + k2 needs no
@@ -424,19 +434,24 @@ def _shift_monomial(alpha: tuple, v) -> dict:
     The shift factorises over axes, prod_mu sum_j C(alpha_mu, j)
     v_mu^(alpha_mu - j) x_mu^j, so each coefficient is one product of a
     binomial and a power per axis; exact when the v_mu are short dyadics.
+    The values are built axis by axis in ``_support``'s key order.
     """
-    out = {alpha: 1.0}
-    for ax, (a, vx) in enumerate(zip(alpha, v or ())):
+    if not v:
+        return {alpha: 1.0}
+    vals = [1.0]
+    ranges = []
+    for a, vx in zip(alpha, v):
         if a and vx != 0.0:
             col = []
             power = 1.0
             for j in range(a, -1, -1):
-                col.append((j, comb(a, j) * power))
+                col.append(comb(a, j) * power)
                 power *= vx
-            out = {
-                key[:ax] + (j,) + key[ax + 1 :]: c * cj for key, c in out.items() for j, cj in col
-            }
-    return out
+            vals = [c * cj for c in vals for cj in col]
+            ranges.append(range(a, -1, -1))
+        else:
+            ranges.append((a,))
+    return dict(zip(product(*ranges), vals))
 
 
 # the shifts of a _shifted_couple miss repeat far more than the (alpha1, v,
@@ -463,10 +478,35 @@ def _plane_couple(a1: int, a2: int, b1: int, b2: int, t: float) -> list:
     return out
 
 
-# the exponent tuples ``_monomial_couple`` made, so that the couplings and plans
-# that hold equal tuples share one object; cleared when it outgrows this
+class _AlphaIds(dict):
+    """Exponent tuple -> id, numbered from 0 on first lookup; ``tuples[id]`` is the tuple.
+
+    One process-wide table (``_alpha_ids``) interns the tuples
+    ``_monomial_couple`` makes, so that the couplings and plans that hold equal
+    tuples share one object, and numbers them for the batched merge.  When it
+    outgrows ``_ALPHAS_MAX`` it is replaced by an empty one and the plans, which
+    store ids, are dropped with it.  A table never renumbers, so ids read from
+    one table object stay valid for it.
+    """
+
+    __slots__ = ("tuples", "_lock")
+
+    def __init__(self):
+        self.tuples = []
+        self._lock = threading.Lock()
+
+    def __missing__(self, alpha):
+        with self._lock:
+            n = self.get(alpha)
+            if n is None:
+                n = len(self.tuples)
+                self.tuples.append(alpha)
+                self[alpha] = n
+            return n
+
+
 _ALPHAS_MAX = 1 << 16
-_alphas = {}
+_alpha_ids = _AlphaIds()
 
 
 @lru_cache(maxsize=1024)
@@ -479,9 +519,12 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
     the correctly rounded exact value, and exact at dyadic theta. The result is
     shared, so callers must not mutate it.
     """
-    if len(_alphas) > _ALPHAS_MAX:
-        _alphas.clear()
-    intern = _alphas.setdefault
+    global _alpha_ids
+    if len(_alpha_ids) > _ALPHAS_MAX:
+        _alpha_ids = _AlphaIds()
+        _couple_plan.cache_clear()  # the plans hold ids of the old table
+    ids = _alpha_ids
+    tuples = ids.tuples
     out = {}
     for combo in product(*(_plane_couple(alpha1[i], alpha1[j], alpha2[i], alpha2[j], t)
                            for i, j, t in planes)):
@@ -497,7 +540,7 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
             c = num / den
         except OverflowError:
             raise ValueError("coefficients must be finite") from None
-        out[intern(key, key)] = complex(0.0, c) if order % 2 else complex(c, 0.0)
+        out[tuples[ids[key]]] = complex(0.0, c) if order % 2 else complex(c, 0.0)
     return out
 
 
@@ -640,10 +683,11 @@ class _Plan:
     ``pairs`` pairs, how many contributions it makes, then for each
     contribution its slot: 2 n for the real part of output monomial ``keys[n]``
     and 2 n + 1 for its imaginary part.  Both arrays have the narrowest dtype
-    that holds their values exactly.  ``top`` is the largest |m|.
+    that holds their values exactly.  ``top`` is the largest |m|.  ``ids``
+    holds the id of each of ``keys`` in the ``_AlphaIds`` object ``table``.
     """
 
-    __slots__ = ("keys", "pairs", "index", "coeffs", "top")
+    __slots__ = ("keys", "pairs", "index", "coeffs", "top", "table", "ids")
 
     def __len__(self):
         return len(self.coeffs)
@@ -674,6 +718,8 @@ def _couple_plan(alpha1: tuple, mask1, alpha2: tuple, mask2, planes: tuple) -> _
     index = np.fromiter(chain(sizes, map(slot.__getitem__, chain.from_iterable(couples))),
                         np.intp, plan.pairs + size)
     plan.keys = tuple(slot)
+    plan.table = _alpha_ids
+    plan.ids = _id_array(plan.table, plan.keys)
     c = np.fromiter(chain.from_iterable(map(dict.values, couples)), complex, size)
     index[plan.pairs:] += c.imag != 0.0
     plan.index = index.astype(np.min_scalar_type(index.max()))
@@ -688,8 +734,12 @@ def _couple_plan(alpha1: tuple, mask1, alpha2: tuple, mask2, planes: tuple) -> _
                 coeffs = narrow
                 break
     plan.coeffs = coeffs
-    plan.index.flags.writeable = plan.coeffs.flags.writeable = False
+    plan.index.flags.writeable = plan.coeffs.flags.writeable = plan.ids.flags.writeable = False
     return plan
+
+
+def _id_array(table: _AlphaIds, alphas) -> np.ndarray:
+    return np.fromiter(map(table.__getitem__, alphas), np.intp, len(alphas))
 
 
 def _replay(plan: _Plan, left: dict, right: dict) -> "_Replayed":
@@ -711,39 +761,39 @@ def _replay(plan: _Plan, left: dict, right: dict) -> "_Replayed":
              * np.fromiter(right.values(), float, len(right)))
     terms = scale.ravel().repeat(index[:plan.pairs])
     terms *= plan.coeffs
-    sums = np.bincount(index[plan.pairs:], terms, 2 * len(plan.keys))
+    sums = np.bincount(index[plan.pairs:], terms, 2 * len(plan.keys)).view(complex)
     sums.flags.writeable = False
-    return _Replayed(plan.keys, sums)
+    return _Replayed(plan, sums)
 
 
 class _Replayed(Mapping):
-    """A replayed coupling: ``keys[n]`` maps to complex(sums[2 n], sums[2 n + 1]).
+    """A replayed coupling: ``plan.keys[n]`` maps to ``values[n]``.
 
-    It holds the plan's key tuple and one float array rather than a dict of
-    complex objects.  ``items()`` is an iterator over the (alpha, c) pairs.
+    It holds its plan and one complex array rather than a dict of complex
+    objects.  ``items()`` is an iterator over the (alpha, c) pairs.
     """
 
-    __slots__ = ("_keys", "_sums")
+    __slots__ = ("plan", "array")
 
-    def __init__(self, keys: tuple, sums: np.ndarray):
-        self._keys = keys
-        self._sums = sums
+    def __init__(self, plan: _Plan, array: np.ndarray):
+        self.plan = plan
+        self.array = array
 
     def __len__(self):
-        return len(self._keys)
+        return len(self.plan.keys)
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self.plan.keys)
 
     def __getitem__(self, alpha):
         try:
-            n = self._keys.index(alpha)
+            n = self.plan.keys.index(alpha)
         except ValueError:
             raise KeyError(alpha) from None
-        return complex(self._sums[2 * n], self._sums[2 * n + 1])
+        return complex(self.array[n])
 
     def items(self):
-        return zip(self._keys, self._sums.view(complex).tolist())
+        return zip(self.plan.keys, self.array.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +829,14 @@ def _kernel_terms(terms: dict, s: SymplecticStructure) -> list:
 def _star_terms(left: list, right: list, s: SymplecticStructure) -> dict:
     """Accumulate the star products of all term pairs into one (alpha, k) -> c dict.
 
-    ``left`` and ``right`` are the ``kernel()`` data of the two factors.
+    ``left`` and ``right`` are the ``kernel()`` data of the two factors.  With
+    at least ``_BATCH_PAIRS`` pairs the contributions are merged by a
+    ``_BatchedMerge``, with the same bits, instead of key by key.
     """
     planes = s._planes
     shifted = _shifted_couple.results.get
     hits = 0
+    batch = _BatchedMerge() if len(left) * len(right) >= _BATCH_PAIRS else None
     out = {}
     for alpha1, k1, c1, a1_any, wave1 in left:
         for alpha2, k2, c2, a2_any, wave2 in right:
@@ -813,12 +866,107 @@ def _star_terms(left: list, right: list, s: SymplecticStructure) -> dict:
                     combined = _shifted_couple.miss(coupling)
                 else:
                     hits += 1
+            if batch:
+                batch.add(coeff, kout, combined)
+                continue
             for alpha, c in combined.items():
                 key = (alpha, kout)
                 out[key] = out.get(key, 0j) + coeff * c
     if hits:
         _shifted_couple.count_hits(hits)
-    return out
+    return batch.result() if batch else out
+
+
+# a product with at least this many term pairs is merged by a ``_BatchedMerge``;
+# below it numpy's per-call cost outweighs the loop
+_BATCH_PAIRS = 128
+# contributions gathered before they are added to the sums, which bounds the
+# batched merge's transient arrays
+_BATCH_CHUNK = 8192
+
+
+class _BatchedMerge:
+    """``_star_terms``'s merge with numpy: the loop's bits, in sorted key order.
+
+    ``add`` takes each pair's coefficient, output wave and coupling in loop
+    order.  Each contribution coeff * c is computed in the split form, ``cr*vr
+    - ci*vi`` and ``cr*vi + ci*vr``, which are the IEEE operations of CPython's
+    complex multiply.  A slot is an output key packed as ``kout id << 32 |
+    alpha id`` (alpha ids from ``_alpha_ids``, kout ids per product), and
+    ``np.add.at`` adds each slot's contributions in input order from 0.0, as
+    ``out.get(key, 0j) + x`` does.  The sums carry over from one chunk of
+    about ``_BATCH_CHUNK`` contributions to the next, so the order, and so the
+    bits, are the loop's throughout.  numpy's floating-point errors are
+    ignored, as Python ignores them in float and complex arithmetic.
+    ``result`` ranks the keys by (alpha, kout) with ``np.lexsort``, so that
+    ``_finish``'s sort runs over sorted input.
+    """
+
+    __slots__ = ("table", "kouts", "slots", "sums", "chunk", "held")
+
+    def __init__(self):
+        self.table = _alpha_ids  # ids from one table object only
+        self.kouts = {}
+        self.slots = defaultdict(count().__next__)  # packed key -> slot
+        self.sums = np.zeros(0, complex)
+        self.chunk = ([], [], [], [], [])  # coeffs, kout ids, sizes, couplings, alpha ids
+        self.held = 0
+
+    def add(self, coeff: complex, kout: tuple, combined):
+        coeffs, kids, sizes, arrays, ids = self.chunk
+        if type(combined) is _Replayed:
+            plan = combined.plan
+            array = combined.array
+            ids.append(plan.ids if plan.table is self.table else _id_array(self.table, plan.keys))
+        else:
+            array = np.fromiter(combined.values(), complex, len(combined))
+            ids.append(_id_array(self.table, combined))
+        arrays.append(array)
+        coeffs.append(coeff)
+        kids.append(self.kouts.setdefault(kout, len(self.kouts)))
+        sizes.append(len(array))
+        self.held += len(array)
+        if self.held >= _BATCH_CHUNK:
+            self._flush()
+
+    def _flush(self):
+        coeffs, kids, sizes, arrays, ids = self.chunk
+        c = np.array(coeffs, complex).repeat(sizes)
+        v = np.concatenate(arrays)
+        keys, at = np.unique(np.array(kids, np.int64).repeat(sizes) << 32 | np.concatenate(ids),
+                             return_inverse=True)
+        slots = self.slots
+        at = np.fromiter(map(slots.__getitem__, keys.tolist()), np.intp, len(keys))[at]
+        if len(slots) > len(self.sums):
+            self.sums = np.concatenate((self.sums, np.zeros(len(slots) - len(self.sums), complex)))
+        terms = np.empty(len(v), complex)
+        with np.errstate(all="ignore"):
+            terms.real = c.real * v.real - c.imag * v.imag
+            terms.imag = c.real * v.imag + c.imag * v.real
+            np.add.at(self.sums, at, terms)
+        for part in self.chunk:
+            part.clear()
+        self.held = 0
+
+    def result(self) -> dict:
+        if self.held:
+            self._flush()
+        keys = np.fromiter(self.slots, np.int64, len(self.slots))
+        alpha_ids, alpha_at = np.unique(keys & 0xFFFFFFFF, return_inverse=True)
+        alphas = [self.table.tuples[n] for n in alpha_ids.tolist()]
+        kout_at = keys >> 32
+        kouts = list(self.kouts)
+        order = np.lexsort((_ranks(kouts)[kout_at], _ranks(alphas)[alpha_at]))
+        return dict(zip(zip(map(alphas.__getitem__, alpha_at[order].tolist()),
+                            map(kouts.__getitem__, kout_at[order].tolist())),
+                        self.sums[order].tolist()))
+
+
+def _ranks(items: list) -> np.ndarray:
+    """The position of each item in ``sorted(items)``."""
+    ranks = np.empty(len(items), np.intp)
+    ranks[sorted(range(len(items)), key=items.__getitem__)] = np.arange(len(items))
+    return ranks
 
 
 def star_term(t1: Term, t2: Term, s: SymplecticStructure) -> MoyalElement:

@@ -539,8 +539,21 @@ SUITES = {
 
 
 def run_suites(scope: str, D: int, theta: float, seed: int) -> list:
+    """(suite name, ``Check``) for each check of ``scope``.
+
+    An invalid D or theta raises the structure's ``ValueError``; a
+    ``ValueError`` from inside a suite is raised again with the suite, D and
+    theta in front of its message.
+    """
     if scope != "all" and scope not in SUITES:
         raise ValueError(f"unknown scope {scope!r}")
+    SymplecticStructure(D, theta)
     # SUITES is read at call time, so a rebound suite function is the one run
     names = list(SUITES) if scope == "all" else [scope]
-    return [(name, chk) for name in names for chk in SUITES[name](D, theta, seed)]
+    checks = []
+    for name in names:
+        try:
+            checks += [(name, chk) for chk in SUITES[name](D, theta, seed)]
+        except ValueError as exc:
+            raise ValueError(f"{name} suite at D={D}, theta={theta!r}: {exc}") from exc
+    return checks

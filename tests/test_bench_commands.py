@@ -9,7 +9,8 @@ import importlib
 import sys
 from pathlib import Path
 
-from moyalcalc.cli import _build_parser
+import moyalcalc.elements as kernel
+from moyalcalc.cli import _build_parser, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -28,10 +29,14 @@ def _print_x1(argv):
     return 0
 
 
-def test_every_workload_command_line_parses(monkeypatch, tmp_path):
+def _workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    workloads = importlib.import_module("workloads")
+    return importlib.import_module("workloads")
+
+
+def test_every_workload_command_line_parses(monkeypatch, tmp_path):
+    workloads = _workloads(monkeypatch)
     parser = _build_parser()
     seen = {}
     for name, workload in workloads.WORKLOADS.items():
@@ -44,3 +49,18 @@ def test_every_workload_command_line_parses(monkeypatch, tmp_path):
     assert set(seen) == {"verify-d2", "tables-d4", "star-bulk", "ir-sweep"}
     bad = [argv for argvs in seen.values() for argv in argvs if not _parses(parser, argv)]
     assert all(seen.values()) and bad == []
+
+
+def test_star_bulk_prints_the_same_through_both_merges(monkeypatch, tmp_path):
+    # the benchmark's large products, merged by the pair loop and by the
+    # batched merge, must print the same bytes
+    star_bulk = _workloads(monkeypatch).WORKLOADS["star-bulk"](1, str(tmp_path))
+    with monkeypatch.context() as mp:
+        mp.setattr(kernel, "_BATCH_PAIRS", 10**9)
+        looped = star_bulk.run(main)
+    batches = []
+    merge = kernel._BatchedMerge
+    monkeypatch.setattr(kernel, "_BatchedMerge", lambda: batches.append(1) or merge())
+    assert star_bulk.run(main) == looped
+    assert [code for _argv, code, _text in looped] == [0] * 6
+    assert len(batches) >= 4

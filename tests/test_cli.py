@@ -133,6 +133,13 @@ def test_verify_core_passes(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_names_the_suite_and_theta_when_a_suite_fails(capsys):
+    code, out, err = run_cli(["verify", "--dim", "2", "--theta", "1e60", "--scope", "core"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: core suite at D=2, theta=1e+60: coefficients must be finite\n"
+
+
 def test_verify_invalid_dim_exits_2(capsys):
     code, _out, _err = run_cli(["verify", "--scope", "core", "--dim", "3"], capsys)
     assert code == 2

@@ -38,6 +38,7 @@ from moyalcalc import (
     unit,
     xi,
 )
+import moyalcalc.elements as kernel
 from moyalcalc.cli import main
 from moyalcalc.elements import (
     PRUNE_REL,
@@ -49,12 +50,14 @@ from moyalcalc.elements import (
     _shifted_couple,
 )
 from moyalcalc.elements import (
+    _BATCH_PAIRS,
     _PLAN_PAIRS,
     _CoefficientCache,
     _Replayed,
     _bilinear_sum,
     _couple_plan,
     _replay,
+    _star_terms,
     _support,
 )
 from moyalcalc.verify import random_element
@@ -290,6 +293,43 @@ def _exact_shift(alpha, v):
             for j in range(a + 1)
         }
     return poly
+
+
+def _dict_shift(alpha, v):
+    """``_shift_monomial`` as it was first written: one dict comprehension per shifted axis."""
+    out = {alpha: 1.0}
+    for ax, (a, vx) in enumerate(zip(alpha, v or ())):
+        if a and vx != 0.0:
+            col = []
+            power = 1.0
+            for j in range(a, -1, -1):
+                col.append((j, comb(a, j) * power))
+                power *= vx
+            out = {
+                key[:ax] + (j,) + key[ax + 1 :]: c * cj for key, c in out.items() for j, cj in col
+            }
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_shift_expansion_matches_the_dict_form_and_the_exact_shift(data):
+    D = data.draw(st.sampled_from([2, 4]))
+    alpha = data.draw(st.tuples(*[st.integers(0, 6)] * D))
+    dyadic = st.integers(-16, 16).map(lambda n: n / 8)
+    component = st.one_of(st.sampled_from([0.0, -0.0]), dyadic,
+                          st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+    v = data.draw(st.one_of(st.none(), st.tuples(*[component] * D)))
+    got = _shift_monomial(alpha, v)
+    # the same keys in the same order, and the same bits
+    assert [(key, c.hex()) for key, c in got.items()] == [
+        (key, c.hex()) for key, c in _dict_shift(alpha, v).items()
+    ]
+    # at short dyadic shifts every coefficient is exact
+    v = data.draw(st.tuples(*[dyadic] * D))
+    got, want = _shift_monomial(alpha, v), _exact_shift(alpha, v)
+    for key in got.keys() | want.keys():
+        assert got.get(key, 0.0) == want.get(key, 0)
 
 
 def _exact_couple(p, q, s):
@@ -990,9 +1030,9 @@ def test_plan_path_is_exact_at_dyadic_theta(D, theta):
             assert got.get(key, 0j) == want.get(key, 0j)
 
 
-def _overflow_outcome(a, b):
+def _overflow_outcome(a, b, fn=star):
     try:
-        return _bits(star(a, b))
+        return _bits(fn(a, b))
     except ValueError as exc:
         return str(exc)
 
@@ -1138,3 +1178,179 @@ def test_underflowing_products_keep_the_loops_bits_whatever_numpys_settings():
     assert _coupling_bits(got) == want
     with np.errstate(all="raise"):
         assert _coupling_bits(_shifted_couple.__wrapped__(*key)) == want
+
+
+# ---------------------------------------------------------------------------
+# the batched merge of large products
+# ---------------------------------------------------------------------------
+
+def _looped(fn, *args):
+    """``fn(*args)`` with every product on the pair loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("moyalcalc.elements._BATCH_PAIRS", 10**9)
+        return fn(*args)
+
+
+@st.composite
+def _products_near_the_threshold(draw):
+    """Two elements and whether their pair count reaches ``_BATCH_PAIRS``.
+
+    Coefficients stay clear of the prune and waves on a grid coarser than
+    the snapping one, so no term is dropped or merged and the drawn sizes
+    decide the side: at least 14 x 14 or at most 11 x 11 pairs.
+    """
+    D = draw(st.sampled_from([2, 4]))
+    s = SymplecticStructure(D, draw(st.sampled_from([0.5, 1.0, 0.3, 1.7])))
+    alpha = st.tuples(*[st.integers(0, 4 if D == 2 else 2)] * D)
+    k = st.one_of(st.just((0.0,) * D),
+                  st.tuples(*[st.integers(-8, 8).map(lambda n: n / 4)] * D),
+                  st.tuples(*[st.integers(-999, 999).map(lambda n: n / 499)] * D))
+    part = st.floats(-4.0, 4.0)
+    coeff = st.builds(complex, part, part).filter(lambda c: abs(c) > 1e-3)
+    big = draw(st.booleans())
+    sizes = st.integers(14, 24) if big else st.integers(1, 11)
+
+    def element():
+        size = draw(sizes)
+        return MoyalElement(s, draw(st.dictionaries(st.tuples(alpha, k), coeff,
+                                                    min_size=size, max_size=size)))
+
+    return element(), element(), big
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_products_near_the_threshold())
+def test_batched_merge_matches_the_loop(case):
+    a, b, big = case
+    assert (len(a.terms) * len(b.terms) >= _BATCH_PAIRS) == big
+    for fn in (star, commutator, anticommutator):
+        assert _overflow_outcome(a, b, fn) == _looped(_overflow_outcome, a, b, fn)
+    if big:
+        # the batched merge hands over its terms already sorted
+        raw = _star_terms(a.kernel(), b.kernel(), a.structure)
+        assert list(raw) == sorted(raw)
+
+
+def _seeded_large_pairs(seed, count):
+    """``count`` seeded pairs per structure with at least ``_BATCH_PAIRS`` term pairs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for s in (SymplecticStructure(2, 0.3), SymplecticStructure(4, 1.0)):
+        pairs = []
+        while len(pairs) < count:
+            a, b = random_element(rng, s, 20, 3), random_element(rng, s, 20, 3)
+            if len(a.terms) * len(b.terms) >= _BATCH_PAIRS:
+                pairs.append((a, b))
+        out += pairs
+    return out
+
+
+def test_batched_sums_carry_across_chunk_boundaries(monkeypatch):
+    pairs = _seeded_large_pairs(50, count=3)
+    want = _looped(_star_and_commutator, pairs)
+    monkeypatch.setattr("moyalcalc.elements._BATCH_CHUNK", 7)
+    assert _star_and_commutator(pairs) == want
+
+
+@pytest.mark.parametrize(
+    "k1, k2, alpha",
+    [((0.0, 0.0), (1e300, 1e300), (8, 8)), ((2e50, 2e50), (2e50, 2e50), (2, 2))],
+)
+def test_overflowing_batched_products_behave_as_on_the_loop(k1, k2, alpha, monkeypatch, capfd):
+    # the overflow cases of the plan path, merged by the batched path; pytest
+    # turns warnings into errors, so numpy may not warn either
+    s = SymplecticStructure(2, 1.0)
+    a = MoyalElement(s, {(alpha, k1): 1.0, ((3, 0), k1): 1.0})
+    b = MoyalElement(s, {(alpha, k2): 1.0})
+    _shifted_couple.cache_clear()
+    looped = _looped(_overflow_outcome, a, b)
+    assert looped.startswith("coefficients must be finite")
+    monkeypatch.setattr("moyalcalc.elements._BATCH_PAIRS", 1)
+    for _ in range(2):
+        _shifted_couple.cache_clear()
+        assert _overflow_outcome(a, b) == looped
+    assert capfd.readouterr().err == ""
+
+
+def test_batched_merge_keeps_the_loops_bits_whatever_numpys_settings(monkeypatch):
+    # tiny and huge coefficients whose contributions underflow and overflow
+    pairs = _seeded_large_pairs(51, count=2)
+    pairs += [(2.0**-600 * a, 2.0**-500 * b) for a, b in pairs]
+    pairs += [(1e300 * a, 1e10 * b) for a, b in pairs[:2]]
+    want = [_looped(_overflow_outcome, a, b, fn) for a, b in pairs for fn in (star, commutator)]
+    assert any(isinstance(w, str) for w in want)  # some overflow
+    with np.errstate(all="raise"):
+        assert [_overflow_outcome(a, b, fn) for a, b in pairs for fn in (star, commutator)] == want
+
+
+def _check_alpha_ids(current=True):
+    """Every stored plan's ids name its keys in the table it holds, the current
+    one unless a racing thread replaced it while the plan was built."""
+    for plan in _couple_plan.results.values():
+        assert [plan.table.tuples[n] for n in plan.ids.tolist()] == list(plan.keys)
+        assert plan.table is kernel._alpha_ids or not current
+
+
+def _star_and_commutator(pairs):
+    return [_bits(fn(a, b)) for a, b in pairs for fn in (star, commutator)]
+
+
+def test_clearing_the_alpha_ids_drops_the_plans_with_them(monkeypatch):
+    pairs = _seeded_large_pairs(52, count=2)
+    want = _looped(_star_and_commutator, pairs)
+    _couple_plan.cache_clear()
+    _shifted_couple.cache_clear()
+    assert _star_and_commutator(pairs) == want
+    _check_alpha_ids()
+    plans = list(_couple_plan.results.values())
+    assert plans
+    # a table over its bound is replaced on the next coupling miss
+    old_table = kernel._alpha_ids
+    monkeypatch.setattr("moyalcalc.elements._ALPHAS_MAX", len(old_table) - 1)
+    _monomial_couple.cache_clear()
+    _monomial_couple((1, 0), (0, 1), S2._planes)
+    assert kernel._alpha_ids is not old_table
+    assert not _couple_plan.results
+    # the coupling store still holds replays of the old table's plans; with
+    # the table replaced again and again the bits stay the loop's
+    monkeypatch.setattr("moyalcalc.elements._ALPHAS_MAX", 40)
+    _monomial_couple.cache_clear()
+    assert _star_and_commutator(pairs) == want
+    assert not any(plan in plans for plan in _couple_plan.results.values())
+    _check_alpha_ids()
+    _shifted_couple.cache_clear()
+    _couple_plan.cache_clear()
+    assert _star_and_commutator(pairs) == want
+    _check_alpha_ids()
+
+
+def test_batched_merge_under_racing_threads(monkeypatch):
+    # threads racing on large products, while the alpha-id table is replaced
+    # on many coupling misses, must each get the loop's bits
+    pairs = _seeded_large_pairs(53, count=2)
+    want = _looped(lambda: [_bits(star(a, b)) for a, b in pairs])
+    monkeypatch.setattr("moyalcalc.elements._ALPHAS_MAX", 200)
+    n = (os.cpu_count() or 1) + 2
+    results = [None] * n
+
+    def work(i):
+        out = []
+        for _ in range(3):
+            _monomial_couple.cache_clear()
+            _shifted_couple.cache_clear()
+            out.append([_bits(star(a, b)) for a, b in pairs])
+        results[i] = out
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[want] * 3] * n
+    _check_alpha_ids(current=False)
