@@ -59,7 +59,8 @@ and the result carries the wave vector k1 + k2.  The term-pair kernel
     contributions in that order from 0.0, so every sum has the loop's bits.
     Contributions are gathered in chunks of about ``_BATCH_CHUNK`` (8192),
     which bounds the transient arrays, and the sums carry over from chunk
-    to chunk.  The result comes back in sorted (alpha, k) order, so the
+    to chunk.  The exponent and wave ids that name the output slots are
+    numbered per product, by the merge itself.  The result comes back in sorted (alpha, k) order, so the
     final sort runs over sorted input;
   * wave components below 8192 are snapped to a 2^-40 grid.  A sum of two
     snapped components is exact while it stays below 8192 (at most 53
@@ -478,37 +479,6 @@ def _plane_couple(a1: int, a2: int, b1: int, b2: int, t: float) -> list:
     return out
 
 
-class _AlphaIds(dict):
-    """Exponent tuple -> id, numbered from 0 on first lookup; ``tuples[id]`` is the tuple.
-
-    One process-wide table (``_alpha_ids``) interns the tuples
-    ``_monomial_couple`` makes, so that the couplings and plans that hold equal
-    tuples share one object, and numbers them for the batched merge.  When it
-    outgrows ``_ALPHAS_MAX`` it is replaced by an empty one and the plans, which
-    store ids, are dropped with it.  A table never renumbers, so ids read from
-    one table object stay valid for it.
-    """
-
-    __slots__ = ("tuples", "_lock")
-
-    def __init__(self):
-        self.tuples = []
-        self._lock = threading.Lock()
-
-    def __missing__(self, alpha):
-        with self._lock:
-            n = self.get(alpha)
-            if n is None:
-                n = len(self.tuples)
-                self.tuples.append(alpha)
-                self[alpha] = n
-            return n
-
-
-_ALPHAS_MAX = 1 << 16
-_alpha_ids = _AlphaIds()
-
-
 @lru_cache(maxsize=1024)
 def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
     """exp(i/2 Theta^{mu nu} d_mu (x) d_nu) x^alpha1 (x) x^alpha2, multiplied out.
@@ -517,14 +487,9 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
     ``_plane_couple`` list per plane (``planes`` holds (i, i + 1, Theta_i,i+1)).
     Each coefficient i^N num/den is rounded once from exact integers, so it is
     the correctly rounded exact value, and exact at dyadic theta. The result is
-    shared, so callers must not mutate it.
+    shared, so callers must not mutate it.  Its exponent tuples carry no ids;
+    the batched merge numbers them per product.
     """
-    global _alpha_ids
-    if len(_alpha_ids) > _ALPHAS_MAX:
-        _alpha_ids = _AlphaIds()
-        _couple_plan.cache_clear()  # the plans hold ids of the old table
-    ids = _alpha_ids
-    tuples = ids.tuples
     out = {}
     for combo in product(*(_plane_couple(alpha1[i], alpha1[j], alpha2[i], alpha2[j], t)
                            for i, j, t in planes)):
@@ -540,7 +505,7 @@ def _monomial_couple(alpha1: tuple, alpha2: tuple, planes: tuple) -> dict:
             c = num / den
         except OverflowError:
             raise ValueError("coefficients must be finite") from None
-        out[tuples[ids[key]]] = complex(0.0, c) if order % 2 else complex(c, 0.0)
+        out[key] = complex(0.0, c) if order % 2 else complex(c, 0.0)
     return out
 
 
@@ -683,11 +648,11 @@ class _Plan:
     ``pairs`` pairs, how many contributions it makes, then for each
     contribution its slot: 2 n for the real part of output monomial ``keys[n]``
     and 2 n + 1 for its imaginary part.  Both arrays have the narrowest dtype
-    that holds their values exactly.  ``top`` is the largest |m|.  ``ids``
-    holds the id of each of ``keys`` in the ``_AlphaIds`` object ``table``.
+    that holds their values exactly.  ``top`` is the largest |m|.  A plan
+    holds no exponent ids: the batched merge numbers ``keys`` per product.
     """
 
-    __slots__ = ("keys", "pairs", "index", "coeffs", "top", "table", "ids")
+    __slots__ = ("keys", "pairs", "index", "coeffs", "top")
 
     def __len__(self):
         return len(self.coeffs)
@@ -718,8 +683,6 @@ def _couple_plan(alpha1: tuple, mask1, alpha2: tuple, mask2, planes: tuple) -> _
     index = np.fromiter(chain(sizes, map(slot.__getitem__, chain.from_iterable(couples))),
                         np.intp, plan.pairs + size)
     plan.keys = tuple(slot)
-    plan.table = _alpha_ids
-    plan.ids = _id_array(plan.table, plan.keys)
     c = np.fromiter(chain.from_iterable(map(dict.values, couples)), complex, size)
     index[plan.pairs:] += c.imag != 0.0
     plan.index = index.astype(np.min_scalar_type(index.max()))
@@ -734,12 +697,8 @@ def _couple_plan(alpha1: tuple, mask1, alpha2: tuple, mask2, planes: tuple) -> _
                 coeffs = narrow
                 break
     plan.coeffs = coeffs
-    plan.index.flags.writeable = plan.coeffs.flags.writeable = plan.ids.flags.writeable = False
+    plan.index.flags.writeable = plan.coeffs.flags.writeable = False
     return plan
-
-
-def _id_array(table: _AlphaIds, alphas) -> np.ndarray:
-    return np.fromiter(map(table.__getitem__, alphas), np.intp, len(alphas))
 
 
 def _replay(plan: _Plan, left: dict, right: dict) -> "_Replayed":
@@ -892,20 +851,22 @@ class _BatchedMerge:
     order.  Each contribution coeff * c is computed in the split form, ``cr*vr
     - ci*vi`` and ``cr*vi + ci*vr``, which are the IEEE operations of CPython's
     complex multiply.  A slot is an output key packed as ``kout id << 32 |
-    alpha id`` (alpha ids from ``_alpha_ids``, kout ids per product), and
+    alpha id``, with both ids numbered per product in first-seen order, and
     ``np.add.at`` adds each slot's contributions in input order from 0.0, as
     ``out.get(key, 0j) + x`` does.  The sums carry over from one chunk of
     about ``_BATCH_CHUNK`` contributions to the next, so the order, and so the
     bits, are the loop's throughout.  numpy's floating-point errors are
     ignored, as Python ignores them in float and complex arithmetic.
-    ``result`` ranks the keys by (alpha, kout) with ``np.lexsort``, so that
-    ``_finish``'s sort runs over sorted input.
+    A replayed coupling's keys are numbered once per plan per product
+    (``plan_ids``).  ``result`` ranks the keys by (alpha, kout) with
+    ``np.lexsort``, so that ``_finish``'s sort runs over sorted input.
     """
 
-    __slots__ = ("table", "kouts", "slots", "sums", "chunk", "held")
+    __slots__ = ("alphas", "plan_ids", "kouts", "slots", "sums", "chunk", "held")
 
     def __init__(self):
-        self.table = _alpha_ids  # ids from one table object only
+        self.alphas = defaultdict(count().__next__)  # exponent tuple -> id
+        self.plan_ids = {}  # plan -> the ids of its keys
         self.kouts = {}
         self.slots = defaultdict(count().__next__)  # packed key -> slot
         self.sums = np.zeros(0, complex)
@@ -915,12 +876,14 @@ class _BatchedMerge:
     def add(self, coeff: complex, kout: tuple, combined):
         coeffs, kids, sizes, arrays, ids = self.chunk
         if type(combined) is _Replayed:
-            plan = combined.plan
             array = combined.array
-            ids.append(plan.ids if plan.table is self.table else _id_array(self.table, plan.keys))
+            plan_ids = self.plan_ids.get(combined.plan)
+            if plan_ids is None:
+                plan_ids = self.plan_ids[combined.plan] = self._number(combined.plan.keys)
+            ids.append(plan_ids)
         else:
             array = np.fromiter(combined.values(), complex, len(combined))
-            ids.append(_id_array(self.table, combined))
+            ids.append(self._number(combined))
         arrays.append(array)
         coeffs.append(coeff)
         kids.append(self.kouts.setdefault(kout, len(self.kouts)))
@@ -928,6 +891,9 @@ class _BatchedMerge:
         self.held += len(array)
         if self.held >= _BATCH_CHUNK:
             self._flush()
+
+    def _number(self, alphas) -> np.ndarray:
+        return np.fromiter(map(self.alphas.__getitem__, alphas), np.intp, len(alphas))
 
     def _flush(self):
         coeffs, kids, sizes, arrays, ids = self.chunk
@@ -952,9 +918,9 @@ class _BatchedMerge:
         if self.held:
             self._flush()
         keys = np.fromiter(self.slots, np.int64, len(self.slots))
-        alpha_ids, alpha_at = np.unique(keys & 0xFFFFFFFF, return_inverse=True)
-        alphas = [self.table.tuples[n] for n in alpha_ids.tolist()]
+        alpha_at = keys & 0xFFFFFFFF
         kout_at = keys >> 32
+        alphas = list(self.alphas)
         kouts = list(self.kouts)
         order = np.lexsort((_ranks(kouts)[kout_at], _ranks(alphas)[alpha_at]))
         return dict(zip(zip(map(alphas.__getitem__, alpha_at[order].tolist()),

@@ -38,7 +38,6 @@ from moyalcalc import (
     unit,
     xi,
 )
-import moyalcalc.elements as kernel
 from moyalcalc.cli import main
 from moyalcalc.elements import (
     PRUNE_REL,
@@ -632,7 +631,7 @@ def test_kernel_memo_cold_and_warm_agree(D, theta):
         rng = np.random.default_rng(20 + D)
         return [(random_element(rng, s), random_element(rng, s)) for _ in range(6)]
 
-    for cache in (_monomial_couple, _shifted_couple, _cached_shift):
+    for cache in (_monomial_couple, _shifted_couple, _cached_shift, _couple_plan):
         cache.cache_clear()
     pairs = build()
     cold = _product_battery(pairs)
@@ -1218,6 +1217,7 @@ def _products_near_the_threshold(draw):
     return element(), element(), big
 
 
+@pytest.mark.slow
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_products_near_the_threshold())
 def test_batched_merge_matches_the_loop(case):
@@ -1283,53 +1283,15 @@ def test_batched_merge_keeps_the_loops_bits_whatever_numpys_settings(monkeypatch
         assert [_overflow_outcome(a, b, fn) for a, b in pairs for fn in (star, commutator)] == want
 
 
-def _check_alpha_ids(current=True):
-    """Every stored plan's ids name its keys in the table it holds, the current
-    one unless a racing thread replaced it while the plan was built."""
-    for plan in _couple_plan.results.values():
-        assert [plan.table.tuples[n] for n in plan.ids.tolist()] == list(plan.keys)
-        assert plan.table is kernel._alpha_ids or not current
-
-
 def _star_and_commutator(pairs):
     return [_bits(fn(a, b)) for a, b in pairs for fn in (star, commutator)]
 
 
-def test_clearing_the_alpha_ids_drops_the_plans_with_them(monkeypatch):
-    pairs = _seeded_large_pairs(52, count=2)
-    want = _looped(_star_and_commutator, pairs)
-    _couple_plan.cache_clear()
-    _shifted_couple.cache_clear()
-    assert _star_and_commutator(pairs) == want
-    _check_alpha_ids()
-    plans = list(_couple_plan.results.values())
-    assert plans
-    # a table over its bound is replaced on the next coupling miss
-    old_table = kernel._alpha_ids
-    monkeypatch.setattr("moyalcalc.elements._ALPHAS_MAX", len(old_table) - 1)
-    _monomial_couple.cache_clear()
-    _monomial_couple((1, 0), (0, 1), S2._planes)
-    assert kernel._alpha_ids is not old_table
-    assert not _couple_plan.results
-    # the coupling store still holds replays of the old table's plans; with
-    # the table replaced again and again the bits stay the loop's
-    monkeypatch.setattr("moyalcalc.elements._ALPHAS_MAX", 40)
-    _monomial_couple.cache_clear()
-    assert _star_and_commutator(pairs) == want
-    assert not any(plan in plans for plan in _couple_plan.results.values())
-    _check_alpha_ids()
-    _shifted_couple.cache_clear()
-    _couple_plan.cache_clear()
-    assert _star_and_commutator(pairs) == want
-    _check_alpha_ids()
-
-
-def test_batched_merge_under_racing_threads(monkeypatch):
-    # threads racing on large products, while the alpha-id table is replaced
-    # on many coupling misses, must each get the loop's bits
+def test_batched_merge_under_racing_threads():
+    # threads racing on large products, while the coupling stores are
+    # cleared under them, must each get the loop's bits
     pairs = _seeded_large_pairs(53, count=2)
     want = _looped(lambda: [_bits(star(a, b)) for a, b in pairs])
-    monkeypatch.setattr("moyalcalc.elements._ALPHAS_MAX", 200)
     n = (os.cpu_count() or 1) + 2
     results = [None] * n
 
@@ -1338,6 +1300,7 @@ def test_batched_merge_under_racing_threads(monkeypatch):
         for _ in range(3):
             _monomial_couple.cache_clear()
             _shifted_couple.cache_clear()
+            _couple_plan.cache_clear()
             out.append([_bits(star(a, b)) for a, b in pairs])
         results[i] = out
 
@@ -1353,4 +1316,3 @@ def test_batched_merge_under_racing_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [[want] * 3] * n
-    _check_alpha_ids(current=False)
